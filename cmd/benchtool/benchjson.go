@@ -9,13 +9,9 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/trustedcells/tcq/internal/accessctl"
 	"github.com/trustedcells/tcq/internal/core"
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
-	"github.com/trustedcells/tcq/internal/querier"
-	"github.com/trustedcells/tcq/internal/tdscrypto"
-	"github.com/trustedcells/tcq/internal/workload"
 )
 
 // The -bench-json mode is a benchmark-regression harness: it measures the
@@ -49,13 +45,14 @@ type benchPhase struct {
 	Bytes int64  `json:"bytes"`
 }
 
-// benchReport is the file layout of BENCH_collection.json.
+// benchReport is the file layout of BENCH_collection.json. Records
+// written before the collection walk went sequential also carry a
+// collect_workers field; decoding ignores it.
 type benchReport struct {
-	Tool           string        `json:"tool"`
-	GoMaxProcs     int           `json:"go_max_procs"`
-	CollectWorkers int           `json:"collect_workers"`
-	Fleet          int           `json:"fleet"`
-	Benchmarks     []benchRecord `json:"benchmarks"`
+	Tool       string        `json:"tool"`
+	GoMaxProcs int           `json:"go_max_procs"`
+	Fleet      int           `json:"fleet"`
+	Benchmarks []benchRecord `json:"benchmarks"`
 }
 
 // measure runs fn iters times and reports wall time and heap allocations
@@ -100,11 +97,10 @@ func benchChurnPlan() *faultplan.Plan {
 	}
 }
 
-// runBenchJSON measures the collection phase (sequential and parallel,
-// clean and churn-scripted per scenario) and one end-to-end aggregation
-// protocol, writes path, and prints deltas against any previous file at
-// the same path.
-func runBenchJSON(path string, fleet, workers, iters int, scenario string, out io.Writer) error {
+// runBenchJSON measures the collection phase (clean and churn-scripted per
+// scenario) and one end-to-end aggregation protocol, writes path, and
+// prints deltas against any previous file at the same path.
+func runBenchJSON(path string, fleet, iters int, scenario string, out io.Writer) error {
 	if iters < 1 {
 		return fmt.Errorf("-bench-iters must be >= 1 (got %d)", iters)
 	}
@@ -121,51 +117,18 @@ func runBenchJSON(path string, fleet, workers, iters int, scenario string, out i
 	default:
 		return fmt.Errorf("-bench-scenario must be clean, churn or both (got %q)", scenario)
 	}
-	w := workload.DefaultSmartMeter(9)
-	w.Districts = 10
-	newEngine := func(collectWorkers int) (*core.Engine, *querier.Querier, error) {
-		eng, err := core.NewEngine(core.Config{
-			Schema: w.Schema(),
-			Policy: &accessctl.Policy{Rules: []accessctl.Rule{
-				{Role: "energy-analyst", AggregateOnly: true},
-			}},
-			AuthorityKey:      tdscrypto.DeriveKey(tdscrypto.Key{}, "auth"),
-			MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
-			AvailableFraction: 0.5,
-			CollectWorkers:    collectWorkers,
-			Seed:              9,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := eng.ProvisionFleet(fleet, w.HouseholdDB); err != nil {
-			return nil, nil, err
-		}
-		cred := eng.Authority().Issue("edf", []string{"energy-analyst"},
-			time.Unix(1700000000, 0).Add(24*time.Hour))
-		q, err := querier.New("edf", eng.K1(), cred, eng.Schema())
-		if err != nil {
-			return nil, nil, err
-		}
-		return eng, q, nil
+	eng, q, err := fleetEngine(fleet, false)
+	if err != nil {
+		return err
 	}
 
 	report := benchReport{
-		Tool:           "benchtool -bench-json",
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		CollectWorkers: workers,
-		Fleet:          fleet,
-	}
-	seqEng, seqQ, err := newEngine(1)
-	if err != nil {
-		return err
-	}
-	parEng, parQ, err := newEngine(workers)
-	if err != nil {
-		return err
+		Tool:       "benchtool -bench-json",
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Fleet:      fleet,
 	}
 	ctx := context.Background()
-	collect := func(eng *core.Engine, q *querier.Querier, plan *faultplan.Plan) func() error {
+	collect := func(plan *faultplan.Plan) func() error {
 		return func() error {
 			// SkipVerify isolates the protocol's cost from the commitment
 			// checks; the verified path has its own tests and its own flag.
@@ -182,26 +145,18 @@ func runBenchJSON(path string, fleet, workers, iters int, scenario string, out i
 	}
 	var specs []spec
 	if wantClean {
-		specs = append(specs, spec{
-			fmt.Sprintf("collection/S_Agg/fleet=%d/workers=1", fleet),
-			collect(seqEng, seqQ, nil)})
-		if workers > 1 {
-			specs = append(specs, spec{
-				fmt.Sprintf("collection/S_Agg/fleet=%d/workers=%d", fleet, workers),
-				collect(parEng, parQ, nil)})
-		}
+		specs = append(specs, spec{fmt.Sprintf("collection/S_Agg/fleet=%d", fleet), collect(nil)})
 	}
 	if wantChurn {
 		specs = append(specs, spec{
-			fmt.Sprintf("collection_churn/S_Agg/fleet=%d/workers=%d", fleet, workers),
-			collect(parEng, parQ, benchChurnPlan())})
+			fmt.Sprintf("collection_churn/S_Agg/fleet=%d", fleet), collect(benchChurnPlan())})
 	}
-	endToEnd := fmt.Sprintf("end_to_end/S_Agg/fleet=%d/workers=%d", fleet, workers)
+	endToEnd := fmt.Sprintf("end_to_end/S_Agg/fleet=%d", fleet)
 	var lastResp *core.Response
 	specs = append(specs, spec{
 		endToEnd, func() error {
-			resp, err := parEng.Execute(ctx, core.Request{
-				Querier: parQ, SQL: benchJSONSQL, Kind: protocol.KindSAgg,
+			resp, err := eng.Execute(ctx, core.Request{
+				Querier: q, SQL: benchJSONSQL, Kind: protocol.KindSAgg,
 				SkipVerify: true,
 			})
 			if err == nil && len(resp.Result.Rows) == 0 {

@@ -52,7 +52,7 @@ func parseFleetSizes(s string) ([]int, error) {
 const eagerBaselineFleet = 100_000
 
 // fleetEngine provisions one smart-meter fleet and a credentialed querier.
-func fleetEngine(fleet int, packed bool, workers int) (*core.Engine, *querier.Querier, error) {
+func fleetEngine(fleet int, packed bool) (*core.Engine, *querier.Querier, error) {
 	w := workload.DefaultSmartMeter(9)
 	w.Districts = 10
 	eng, err := core.NewEngine(core.Config{
@@ -63,7 +63,6 @@ func fleetEngine(fleet int, packed bool, workers int) (*core.Engine, *querier.Qu
 		AuthorityKey:      tdscrypto.DeriveKey(tdscrypto.Key{}, "auth"),
 		MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
 		AvailableFraction: 0.5,
-		CollectWorkers:    workers,
 		Seed:              9,
 		PackedFleet:       packed,
 	})
@@ -95,7 +94,7 @@ func liveHeap() uint64 {
 func measureProvision(name string, fleet int, packed bool) (benchRecord, *core.Engine, *querier.Querier, error) {
 	base := liveHeap()
 	start := time.Now()
-	eng, q, err := fleetEngine(fleet, packed, 1)
+	eng, q, err := fleetEngine(fleet, packed)
 	if err != nil {
 		return benchRecord{}, nil, nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -128,10 +127,7 @@ func runFleetSweep(path, sizesCSV string, iters int, budget float64, out io.Writ
 	report := benchReport{
 		Tool:       "benchtool -fleet-sweep",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		// The sweep pins CollectWorkers=1: scale behavior, not parallelism,
-		// is what this record tracks.
-		CollectWorkers: 1,
-		Fleet:          sizes[len(sizes)-1],
+		Fleet:      sizes[len(sizes)-1],
 	}
 	ctx := context.Background()
 	var packedBaseline float64 // bytes/device at eagerBaselineFleet, packed
@@ -149,7 +145,7 @@ func runFleetSweep(path, sizesCSV string, iters int, budget float64, out io.Writ
 			packedBaseline = prov.BytesPerDevice
 		}
 
-		rec, err := measure(fmt.Sprintf("collection_packed/S_Agg/fleet=%d/workers=1", fleet),
+		rec, err := measure(fmt.Sprintf("collection_packed/S_Agg/fleet=%d", fleet),
 			iters, func() error {
 				_, err := eng.Execute(ctx, core.Request{
 					Querier: q, SQL: benchJSONSQL, Kind: protocol.KindSAgg,

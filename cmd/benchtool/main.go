@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"github.com/trustedcells/tcq/internal/costmodel"
@@ -41,7 +40,6 @@ func main() {
 	benchJSON := flag.Bool("bench-json", false, "measure the live collection pipeline and write -bench-out")
 	benchOut := flag.String("bench-out", "BENCH_collection.json", "bench-json: output file")
 	benchFleet := flag.Int("bench-fleet", 200, "bench-json: fleet size")
-	benchWorkers := flag.Int("bench-workers", 0, "bench-json: CollectWorkers (0 = GOMAXPROCS)")
 	benchIters := flag.Int("bench-iters", 20, "bench-json: iterations per benchmark")
 	benchScenario := flag.String("bench-scenario", "both", "bench-json: clean | churn | both")
 	fleetSweep := flag.Bool("fleet-sweep", false, "measure packed fleets across -fleet-sizes and write -fleet-out")
@@ -60,7 +58,7 @@ func main() {
 	pipelineFleets := flag.String("pipeline-fleets", "1000,100000", "pipeline-compare: comma-separated fleet sizes")
 	flag.Parse()
 	if *pipelineCompare {
-		if err := runPipelineCompare(*benchOut, *pipelineFleets, *benchWorkers, *benchIters, os.Stdout); err != nil {
+		if err := runPipelineCompare(*benchOut, *pipelineFleets, *benchIters, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtool:", err)
 			os.Exit(1)
 		}
@@ -88,11 +86,7 @@ func main() {
 		return
 	}
 	if *benchJSON {
-		workers := *benchWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if err := runBenchJSON(*benchOut, *benchFleet, workers, *benchIters, *benchScenario, os.Stdout); err != nil {
+		if err := runBenchJSON(*benchOut, *benchFleet, *benchIters, *benchScenario, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtool:", err)
 			os.Exit(1)
 		}

@@ -87,7 +87,7 @@ func TestRunValidate(t *testing.T) {
 func TestBenchJSONPhasesAndDeltas(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_collection.json")
 	var b strings.Builder
-	if err := runBenchJSON(path, 20, 2, 1, "clean", &b); err != nil {
+	if err := runBenchJSON(path, 20, 1, "clean", &b); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -127,7 +127,7 @@ func TestBenchJSONPhasesAndDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b2 strings.Builder
-	if err := runBenchJSON(path, 20, 2, 1, "clean", &b2); err != nil {
+	if err := runBenchJSON(path, 20, 1, "clean", &b2); err != nil {
 		t.Fatal(err)
 	}
 	out := b2.String()

@@ -30,7 +30,7 @@ const (
 
 // runPipelineCompare measures barrier vs pipelined execution per fleet size
 // and merges the records into the report at path.
-func runPipelineCompare(path, sizesCSV string, workers, iters int, out io.Writer) error {
+func runPipelineCompare(path, sizesCSV string, iters int, out io.Writer) error {
 	if iters < 1 {
 		return fmt.Errorf("-bench-iters must be >= 1 (got %d)", iters)
 	}
@@ -38,18 +38,14 @@ func runPipelineCompare(path, sizesCSV string, workers, iters int, out io.Writer
 	if err != nil {
 		return err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	report := benchReport{
-		Tool:           "benchtool -pipeline-compare",
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		CollectWorkers: workers,
-		Fleet:          sizes[len(sizes)-1],
+		Tool:       "benchtool -pipeline-compare",
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Fleet:      sizes[len(sizes)-1],
 	}
 	ctx := context.Background()
 	for _, fleet := range sizes {
-		eng, q, err := fleetEngine(fleet, true, workers)
+		eng, q, err := fleetEngine(fleet, true)
 		if err != nil {
 			return err
 		}
@@ -60,7 +56,7 @@ func runPipelineCompare(path, sizesCSV string, workers, iters int, out io.Writer
 			})
 		}
 		barrier, err := measure(
-			fmt.Sprintf("e2e_barrier/S_Agg/fleet=%d/workers=%d", fleet, workers),
+			fmt.Sprintf("e2e_barrier/S_Agg/fleet=%d", fleet),
 			iters, func() error {
 				_, err := run(core.PipelineOff)
 				return err
@@ -72,7 +68,7 @@ func runPipelineCompare(path, sizesCSV string, workers, iters int, out io.Writer
 
 		var last *core.Response
 		piped, err := measure(
-			fmt.Sprintf("e2e_pipelined/S_Agg/fleet=%d/workers=%d", fleet, workers),
+			fmt.Sprintf("e2e_pipelined/S_Agg/fleet=%d", fleet),
 			iters, func() error {
 				resp, err := run(core.PipelineFull)
 				last = resp

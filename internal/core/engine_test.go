@@ -104,6 +104,13 @@ func newFixture(t *testing.T, fleetSize int, cfgEdit func(*Config)) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every query the fixture's engine ran, through any entry point, must
+	// have balanced its collection account.
+	t.Cleanup(func() {
+		if v := eng.obs.accounting.Value(); v != 0 {
+			t.Errorf("tcq_accounting_violations_total = %v, want 0", v)
+		}
+	})
 	return &fixture{eng: eng, q: q, dbs: dbs}
 }
 

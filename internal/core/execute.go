@@ -70,8 +70,8 @@ type Response struct {
 	Metrics *Metrics
 	// Trace is the run's span tree, timestamped with the simulated clock:
 	// one root `execute` span, one child per phase, per-device events for
-	// deposits, retries and fault-script hits. Bit-identical across
-	// CollectWorkers settings; serialize with Trace.WriteJSONL or render
+	// deposits, retries and fault-script hits. Bit-identical across runs
+	// and GOMAXPROCS settings; serialize with Trace.WriteJSONL or render
 	// with Trace.Summary.
 	Trace *obs.QueryTrace
 	// Integrity is the verified-execution report: how many commitments
@@ -81,8 +81,8 @@ type Response struct {
 	Integrity *IntegrityReport
 	// Journal is the run's structured event stream: admission, dispatch,
 	// phase boundaries, recovery-ledger entries and the terminal outcome,
-	// in canonical order. Byte-identical across CollectWorkers settings
-	// and concurrency for a pinned QueryID; serialize with
+	// in canonical order. Byte-identical across GOMAXPROCS settings and
+	// concurrency for a pinned QueryID; serialize with
 	// Journal.WriteJSONL, validate with obs.CheckJournal.
 	Journal *obs.QueryJournal
 	// Conformance compares the run's measured simulated durations against

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/storage"
 	"github.com/trustedcells/tcq/internal/tds"
 )
@@ -312,7 +313,7 @@ func (e *Engine) provisionPacked(n int, populate func(i int) *storage.LocalDB) e
 		corrupt := false
 		if f := e.cfg.CompromisedFraction; f > 0 {
 			// The exact draw AddTDS would have made for this slot.
-			r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(packedID(slot))) ^ 0x5eed))
+			r := rand.New(rand.NewSource(e.cfg.Seed ^ int64(detrand.FNV1a(packedID(slot))) ^ 0x5eed))
 			corrupt = r.Float64() < f
 		}
 		e.packed.pad(slot)

@@ -18,41 +18,41 @@ import (
 
 // journalBytes runs one scenario on a fresh fixture and returns the
 // journal's wire form, after validating it against the schema checker.
-func journalBytes(t *testing.T, workers int, sc struct {
+func journalBytes(t *testing.T, sc struct {
 	kind   protocol.Kind
 	sql    string
 	params protocol.Params
 }) []byte {
 	t.Helper()
-	f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
+	f := newFixture(t, 40, nil)
 	resp, err := f.eng.Execute(context.Background(), Request{
 		Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
 		Faults: churnPlan(), QueryID: "journal-pin",
 	})
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	if resp.Journal == nil {
-		t.Fatalf("workers=%d: no journal on response", workers)
+		t.Fatal("no journal on response")
 	}
 	b := resp.Journal.Bytes()
 	if err := obs.CheckJournal(bytes.NewReader(b)); err != nil {
-		t.Fatalf("workers=%d: journal fails schema check: %v\n%s", workers, err, b)
+		t.Fatalf("journal fails schema check: %v\n%s", err, b)
 	}
 	return b
 }
 
 // TestJournalDeterminism is the journal's half of the determinism
 // contract: for a pinned QueryID the structured event stream is
-// byte-identical whether collection ran on one worker or eight, for
-// every protocol, under the reference churn plan.
+// byte-identical across two independent runs, for every protocol, under
+// the reference churn plan.
 func TestJournalDeterminism(t *testing.T) {
 	for _, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
-			one := journalBytes(t, 1, sc)
-			eight := journalBytes(t, 8, sc)
-			if !bytes.Equal(one, eight) {
-				t.Errorf("journal diverged across CollectWorkers:\nW1:\n%s\nW8:\n%s", one, eight)
+			one := journalBytes(t, sc)
+			two := journalBytes(t, sc)
+			if !bytes.Equal(one, two) {
+				t.Errorf("journal diverged across runs:\nfirst:\n%s\nsecond:\n%s", one, two)
 			}
 			if !bytes.Contains(one, []byte(`"kind":"query-end"`)) {
 				t.Error("journal has no terminal query-end event")
@@ -134,7 +134,7 @@ func TestAbortCoverageFloorJournal(t *testing.T) {
 // abort-terminated journal, possibly with the collect phase still open —
 // exactly what the schema checker permits for aborts.
 func TestAbortTimeoutJournal(t *testing.T) {
-	f := newFixture(t, 20, func(c *Config) { c.CollectWorkers = 1 })
+	f := newFixture(t, 20, nil)
 	ctx := &fuseCtx{Context: context.Background(), fuse: 3}
 	resp, err := f.eng.Execute(ctx, Request{
 		Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,

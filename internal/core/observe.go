@@ -38,6 +38,7 @@ type engineObs struct {
 	queriesFailed *obs.CounterVec // aborted runs, by reason
 	integrity     *obs.CounterVec // verified-execution events, by kind
 	pipeline      *obs.CounterVec // streaming-pipeline window outcomes
+	accounting    *obs.Counter    // collections whose device account did not balance
 }
 
 func newEngineObs() *engineObs {
@@ -87,6 +88,8 @@ func newEngineObs() *engineObs {
 		pipeline: reg.CounterVec("tcq_pipeline_windows_total",
 			"streaming-pipeline speculative window outcomes (speculated, adopted, wasted)",
 			"outcome"),
+		accounting: reg.Counter("tcq_accounting_violations_total",
+			"collections where some eligible device did not land in exactly one terminal bucket (must stay 0)"),
 	}
 }
 
@@ -117,13 +120,13 @@ type runState struct {
 	// materialized from a packed fleet, so repeated worker draws pay the
 	// unpack once per run. Collection never touches it.
 	devs map[int]*tds.TDS
-	// slab recycles deposit envelopes across collection waves instead of
+	// slab recycles deposit envelopes across the walk instead of
 	// allocating one per device.
 	slab protocol.DepositSlab
 	// Live-rotation context. rotScript is the fault plan's scripted
 	// rotation (nil when none); commits counts committed deposit envelopes
-	// in connection order — the worker-count-independent trigger clock the
-	// script fires on; rotStarted is the commit count at which the scripted
+	// in connection order — the deterministic trigger clock the script
+	// fires on; rotStarted is the commit count at which the scripted
 	// rotation began. staleQ queues devices that connected while a torn
 	// rollout left them unable to serve this query's epoch; they are
 	// retried in original connection order once the walk completes.
@@ -135,7 +138,7 @@ type runState struct {
 	rotStarted int
 	staleQ     []collectDevice
 	verifier   *tdscrypto.Committer
-	// roll accumulates the per-wave trace rollups when TraceSampleRate is
+	// roll accumulates the windowed trace rollups when TraceSampleRate is
 	// fractional; nil at the full-tracing default.
 	roll *collectRollup
 	// Streaming-pipeline context. pipeMode is the resolved request mode;

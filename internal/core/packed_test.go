@@ -81,32 +81,33 @@ func TestPackedCompromisedEquivalence(t *testing.T) {
 	}
 }
 
-// TestPackedDeterminismAcrossWorkers: the packed pipeline keeps the
-// worker-count independence contract.
+// TestPackedDeterminismAcrossWorkers: the packed fleet keeps the
+// worker-count independence contract. The aggregation phase runs one
+// goroutine per assignment and the streaming pipeline sizes its pool by
+// GOMAXPROCS, so rows and metrics must not move between one OS thread
+// and four.
 func TestPackedDeterminismAcrossWorkers(t *testing.T) {
-	runAt := func(workers int) (rows []string, m Metrics) {
-		f := newFixture(t, 40, func(c *Config) {
-			c.PackedFleet = true
-			c.CollectWorkers = workers
-		})
+	runAt := func(procs int) (rows []string, m Metrics) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		f := newFixture(t, 40, func(c *Config) { c.PackedFleet = true })
 		resp, err := f.eng.Execute(context.Background(), Request{
 			Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
 			Params: protocol.Params{PartitionTuples: 4}, Faults: churnPlan(),
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		met := *resp.Metrics
 		met.TLocal = 0
 		return sortedRows(resp.Result), met
 	}
 	seqRows, seqM := runAt(1)
-	parRows, parM := runAt(8)
+	parRows, parM := runAt(4)
 	if !reflect.DeepEqual(seqRows, parRows) {
-		t.Error("rows depend on CollectWorkers")
+		t.Error("rows depend on GOMAXPROCS")
 	}
 	if !reflect.DeepEqual(seqM, parM) {
-		t.Errorf("metrics depend on CollectWorkers:\nseq: %+v\npar: %+v", seqM, parM)
+		t.Errorf("metrics depend on GOMAXPROCS:\n1: %+v\n4: %+v", seqM, parM)
 	}
 }
 

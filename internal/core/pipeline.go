@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"sync"
 	"time"
 
@@ -246,7 +247,7 @@ func (e *Engine) armPipeline(rs *runState, req Request, g int) {
 		svc: rs.ssi,
 		id:  post.ID,
 		per: e.firstStepPer(req.Kind, post.Params, g),
-		sem: make(chan struct{}, e.collectWorkers()),
+		sem: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	switch req.Kind {
 	case protocol.KindBasic:
@@ -328,7 +329,7 @@ type specResult struct {
 // notify is called from the deposit-commit funnel after every accepted
 // deposit: count is the committed tuple total, accepted the tuples this
 // deposit added. Commits are serialized in connection order, so windows
-// and tag chunks form identically at every CollectWorkers setting.
+// and tag chunks form identically on every run.
 func (p *pipeline) notify(count int, accepted []protocol.WireTuple) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

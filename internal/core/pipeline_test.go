@@ -11,58 +11,50 @@ import (
 // The streaming pipeline's contract: overlapping collection with the
 // first aggregation step is a wall-clock optimization and nothing else.
 // Rows, Metrics (recovery ledger included), journal and trace must be
-// bit-identical across pipeline modes, CollectWorkers settings and fleet
-// representations — the same determinism bar every other engine feature
+// bit-identical across pipeline modes and fleet representations — the same determinism bar every other engine feature
 // clears. Run under -race (check.sh's pipeline gate) this file doubles
 // as the speculative executor's data-race gate.
 
-// TestPipelineDeterminism sweeps all five protocols × CollectWorkers
-// {1,8} × packed/eager × pipeline off/auto/full and requires every
-// combination to produce the barrier baseline's exact observables.
+// TestPipelineDeterminism sweeps all five protocols × packed/eager ×
+// pipeline off/auto/full and requires every combination to produce the
+// barrier baseline's exact observables.
 func TestPipelineDeterminism(t *testing.T) {
 	modes := []PipelineMode{PipelineOff, PipelineAuto, PipelineFull}
 	for _, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
-			runAt := func(workers int, packed bool, pm PipelineMode) queryOutcome {
-				f := newFixture(t, 40, func(c *Config) {
-					c.CollectWorkers = workers
-					c.PackedFleet = packed
-				})
+			runAt := func(packed bool, pm PipelineMode) queryOutcome {
+				f := newFixture(t, 40, func(c *Config) { c.PackedFleet = packed })
 				resp, err := f.eng.Execute(context.Background(), Request{
 					Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
 					QueryID: "pipe-det", Pipeline: pm,
 				})
 				if err != nil {
-					t.Fatalf("workers=%d packed=%v pipeline=%v: %v", workers, packed, pm, err)
+					t.Fatalf("packed=%v pipeline=%v: %v", packed, pm, err)
 				}
 				o := outcomeOf(t, resp)
 				o.metrics.TLocal = 0 // mean of identical sums; float noise
 				return o
 			}
-			base := runAt(1, false, PipelineOff)
-			for _, workers := range []int{1, 8} {
-				for _, packed := range []bool{false, true} {
-					for _, pm := range modes {
-						if workers == 1 && !packed && pm == PipelineOff {
-							continue // the baseline itself
-						}
-						got := runAt(workers, packed, pm)
-						if got.rows != base.rows {
-							t.Errorf("workers=%d packed=%v pipeline=%v: rows diverge\ngot:  %s\nwant: %s",
-								workers, packed, pm, got.rows, base.rows)
-						}
-						if !reflect.DeepEqual(got.metrics, base.metrics) {
-							t.Errorf("workers=%d packed=%v pipeline=%v: metrics diverge\ngot:  %+v\nwant: %+v",
-								workers, packed, pm, got.metrics, base.metrics)
-						}
-						if got.journal != base.journal {
-							t.Errorf("workers=%d packed=%v pipeline=%v: journals diverge",
-								workers, packed, pm)
-						}
-						if got.trace != base.trace {
-							t.Errorf("workers=%d packed=%v pipeline=%v: traces diverge",
-								workers, packed, pm)
-						}
+			base := runAt(false, PipelineOff)
+			for _, packed := range []bool{false, true} {
+				for _, pm := range modes {
+					if !packed && pm == PipelineOff {
+						continue // the baseline itself
+					}
+					got := runAt(packed, pm)
+					if got.rows != base.rows {
+						t.Errorf("packed=%v pipeline=%v: rows diverge\ngot:  %s\nwant: %s",
+							packed, pm, got.rows, base.rows)
+					}
+					if !reflect.DeepEqual(got.metrics, base.metrics) {
+						t.Errorf("packed=%v pipeline=%v: metrics diverge\ngot:  %+v\nwant: %+v",
+							packed, pm, got.metrics, base.metrics)
+					}
+					if got.journal != base.journal {
+						t.Errorf("packed=%v pipeline=%v: journals diverge", packed, pm)
+					}
+					if got.trace != base.trace {
+						t.Errorf("packed=%v pipeline=%v: traces diverge", packed, pm)
 					}
 				}
 			}

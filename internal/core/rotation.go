@@ -33,10 +33,9 @@ import (
 //     window on the SSI and the devices, and retires the rotation.
 //
 // The wave schedule is a pure function of (engine seed, target epoch,
-// device ID) — never of slot order, worker count, goroutine scheduling or
-// time — so a rotation scripted at a deterministic trigger point yields
-// bit-identical runs for every CollectWorkers setting, which is what the
-// rotation chaos sweep pins.
+// device ID) — never of slot order, goroutine scheduling or time — so a
+// rotation scripted at a deterministic trigger point yields bit-identical
+// runs, which is what the rotation chaos sweep pins.
 
 // rotationState is the coordinator state of one in-progress rotation,
 // guarded by Engine.life.
@@ -278,8 +277,7 @@ func (e *Engine) rotationInProgress() bool {
 
 // RolloutSchedule returns the device IDs of each rollout wave of the
 // in-progress rotation, in wave order — the deterministic schedule the
-// chaos sweep pins across worker counts. Nil when no rotation is in
-// progress.
+// chaos sweep pins across runs. Nil when no rotation is in progress.
 func (e *Engine) RolloutSchedule() [][]string {
 	e.life.RLock()
 	defer e.life.RUnlock()
@@ -313,8 +311,8 @@ func (e *Engine) TrustBundleBytes() []byte {
 // point of the collection walk: it counts committed envelopes, fires
 // BeginRotation at the scripted count, and advances rollout waves every
 // WaveEvery further commits. It runs strictly in deposit commit order —
-// the order that is identical for every CollectWorkers setting — so the
-// rotation strikes the same logical instant in every configuration.
+// the pre-drawn connection order — so the rotation strikes the same
+// logical instant on every run.
 // Rotation lifecycle events land in the recovery ledger (and through its
 // mirrors, the trace and the journal).
 func (e *Engine) scriptedRotation(rs *runState, now time.Time) error {

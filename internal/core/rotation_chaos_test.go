@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
@@ -36,7 +37,7 @@ const basicConsumerSQL = `SELECT C.cid, C.district FROM Consumer C`
 // collectionPhase makes it. Tests use it to place revocations relative to
 // the scripted rotation point.
 func connectionOrder(qid string, fleetSize int) []int {
-	return rand.New(rand.NewSource(7 ^ int64(hashString(qid)))).Perm(fleetSize)
+	return rand.New(rand.NewSource(7 ^ int64(detrand.FNV1a(qid)))).Perm(fleetSize)
 }
 
 // slotOf inverts the "tds-%05d" device naming.
@@ -82,10 +83,10 @@ func ledgerCount(m *Metrics, kind string) int {
 
 // TestRotationMidQueryDeterminism is the heart of the sweep: a rotation
 // scripted to begin after the 8th deposit and roll out in three waves,
-// under every protocol, both worker counts and both fleet
-// representations. The rows must match a rotation-free run bit for bit,
-// the run must verify with zero integrity violations, and metrics, ledger
-// and rows must be identical at any CollectWorkers setting.
+// under every protocol and both fleet representations. The rows must
+// match a rotation-free run bit for bit, the run must verify with zero
+// integrity violations, and metrics, ledger and rows must be identical
+// with the streaming pipeline off and full.
 func TestRotationMidQueryDeterminism(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		name := "eager"
@@ -100,18 +101,15 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 						metrics Metrics
 						integ   *IntegrityReport
 					}
-					runAt := func(workers int, rot *faultplan.RotationScript, pm PipelineMode) outcome {
-						f := newFixture(t, 40, func(c *Config) {
-							c.CollectWorkers = workers
-							c.PackedFleet = packed
-						})
+					runAt := func(rot *faultplan.RotationScript, pm PipelineMode) outcome {
+						f := newFixture(t, 40, func(c *Config) { c.PackedFleet = packed })
 						resp, err := f.eng.Execute(context.Background(), Request{
 							Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
 							Faults:   &faultplan.Plan{Seed: 21, Rotation: rot},
 							Pipeline: pm,
 						})
 						if err != nil {
-							t.Fatalf("workers=%d rot=%v: %v", workers, rot != nil, err)
+							t.Fatalf("rot=%v pipeline=%v: %v", rot != nil, pm, err)
 						}
 						if rot != nil && pm == PipelineFull {
 							// A scripted rotation puts the run outside the
@@ -127,31 +125,20 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 					script := func() *faultplan.RotationScript {
 						return &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
 					}
-					clean := runAt(1, nil, PipelineOff)
-					seq := runAt(1, script(), PipelineOff)
-					par := runAt(8, script(), PipelineOff)
-					pip := runAt(8, script(), PipelineFull)
+					clean := runAt(nil, PipelineOff)
+					seq := runAt(script(), PipelineOff)
+					pip := runAt(script(), PipelineFull)
 
 					if !reflect.DeepEqual(seq.rows, clean.rows) {
 						t.Errorf("rotation changed the answer:\nclean:    %v\nrotated:  %v",
 							clean.rows, seq.rows)
-					}
-					if !reflect.DeepEqual(seq.rows, par.rows) {
-						t.Errorf("results diverge across workers:\nW1: %v\nW8: %v", seq.rows, par.rows)
-					}
-					if !reflect.DeepEqual(seq.metrics.Ledger, par.metrics.Ledger) {
-						t.Errorf("recovery ledgers diverge:\nW1: %+v\nW8: %+v",
-							seq.metrics.Ledger, par.metrics.Ledger)
-					}
-					if !reflect.DeepEqual(seq.metrics, par.metrics) {
-						t.Errorf("metrics diverge:\nW1: %+v\nW8: %+v", seq.metrics, par.metrics)
 					}
 					if !reflect.DeepEqual(seq.rows, pip.rows) ||
 						!reflect.DeepEqual(seq.metrics, pip.metrics) {
 						t.Errorf("pipelined rotated run diverges:\nbarrier: %v %+v\npipelined: %v %+v",
 							seq.rows, seq.metrics, pip.rows, pip.metrics)
 					}
-					for _, o := range []outcome{seq, par, pip} {
+					for _, o := range []outcome{seq, pip} {
 						if o.integ == nil || !o.integ.Verified {
 							t.Fatal("rotated run skipped verification")
 						}
@@ -175,8 +162,8 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 // mid-query rotation, placed (via the reproducible connection order) so
 // they have not yet deposited when the rotation strikes. They must be
 // refused with no grace, the rows must equal the standalone answer over
-// the surviving fleet, and the whole outcome must be worker-count
-// independent.
+// the surviving fleet, and the whole outcome must reproduce across
+// independent runs.
 func TestRotationRevocationMidQuery(t *testing.T) {
 	const fleetSize, after = 24, 8
 	const qid = "rot-revoke-pin"
@@ -191,8 +178,8 @@ func TestRotationRevocationMidQuery(t *testing.T) {
 		rows    []string
 		metrics Metrics
 	}
-	runAt := func(workers int) (*fixture, outcome) {
-		f := newFixture(t, fleetSize, func(c *Config) { c.CollectWorkers = workers })
+	run := func() (*fixture, outcome) {
+		f := newFixture(t, fleetSize, nil)
 		resp, err := f.eng.Execute(context.Background(), Request{
 			Querier: f.q, SQL: basicConsumerSQL, Kind: protocol.KindBasic, QueryID: qid,
 			Faults: &faultplan.Plan{Rotation: &faultplan.RotationScript{
@@ -200,18 +187,18 @@ func TestRotationRevocationMidQuery(t *testing.T) {
 			}},
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		if resp.Integrity == nil || resp.Integrity.Violations != 0 {
-			t.Fatalf("workers=%d: integrity report %+v", workers, resp.Integrity)
+			t.Fatalf("integrity report %+v", resp.Integrity)
 		}
 		m := *resp.Metrics
 		m.TLocal = 0
 		return f, outcome{rows: sortedRows(resp.Result), metrics: m}
 	}
 
-	f, seq := runAt(1)
-	_, par := runAt(8)
+	f, seq := run()
+	_, par := run()
 
 	want := sortedRows(referenceExcluding(t, f, basicConsumerSQL, exclude))
 	if !reflect.DeepEqual(seq.rows, want) {
@@ -222,7 +209,7 @@ func TestRotationRevocationMidQuery(t *testing.T) {
 			seq.metrics.CollectErrors, len(victims))
 	}
 	if !reflect.DeepEqual(seq.rows, par.rows) || !reflect.DeepEqual(seq.metrics, par.metrics) {
-		t.Errorf("revocation outcome diverges across workers:\nW1: %+v\nW8: %+v",
+		t.Errorf("revocation outcome diverges across runs:\nfirst:  %+v\nsecond: %+v",
 			seq.metrics, par.metrics)
 	}
 	revoked := map[string]bool{}
@@ -337,7 +324,7 @@ func TestRotationBundleFaults(t *testing.T) {
 	})
 }
 
-// tornOutcome is one worker count's view of the torn-rollout sequence.
+// tornOutcome is one run's view of the torn-rollout sequence.
 type tornOutcome struct {
 	rows    [][]string
 	ledgers [][]ssiLedger
@@ -370,7 +357,7 @@ func flatLedger(m *Metrics) []ssiLedger {
 //	    fleet answers.
 //	q4  CompleteRotation closes the window; a clean query sees everything.
 //
-// The entire sequence must be identical at any CollectWorkers setting.
+// The entire sequence must reproduce across independent runs.
 func TestTornRolloutStaleRecovery(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		name := "eager"
@@ -378,12 +365,9 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 			name = "packed"
 		}
 		t.Run(name, func(t *testing.T) {
-			runSeq := func(workers int) tornOutcome {
+			runSeq := func() tornOutcome {
 				const fleetSize = 24
-				f := newFixture(t, fleetSize, func(c *Config) {
-					c.CollectWorkers = workers
-					c.PackedFleet = packed
-				})
+				f := newFixture(t, fleetSize, func(c *Config) { c.PackedFleet = packed })
 				var out tornOutcome
 				note := func(resp *Response) {
 					out.rows = append(out.rows, sortedRows(resp.Result))
@@ -502,9 +486,9 @@ func TestTornRolloutStaleRecovery(t *testing.T) {
 				note(resp)
 				return out
 			}
-			seq, par := runSeq(1), runSeq(8)
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("torn-rollout sequence diverges across workers:\nW1: %+v\nW8: %+v", seq, par)
+			first, second := runSeq(), runSeq()
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("torn-rollout sequence diverges across runs:\nfirst:  %+v\nsecond: %+v", first, second)
 			}
 		})
 	}
@@ -711,11 +695,11 @@ func TestRevocationRaceSharedCache(t *testing.T) {
 
 // TestJournalRotationDeterminism extends the journal's determinism
 // contract to rotation: with a scripted mid-query rotation the structured
-// event stream is byte-identical across worker counts, passes the schema
-// check, and mirrors the rotation lifecycle events.
+// event stream is byte-identical across independent runs, passes the
+// schema check, and mirrors the rotation lifecycle events.
 func TestJournalRotationDeterminism(t *testing.T) {
-	run := func(workers int) []byte {
-		f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
+	run := func() []byte {
+		f := newFixture(t, 40, nil)
 		resp, err := f.eng.Execute(context.Background(), Request{
 			Querier: f.q, SQL: flagshipSQL, Kind: protocol.KindSAgg,
 			Params:  protocol.Params{PartitionTuples: 4},
@@ -725,20 +709,20 @@ func TestJournalRotationDeterminism(t *testing.T) {
 			}},
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		if resp.Journal == nil {
-			t.Fatalf("workers=%d: no journal", workers)
+			t.Fatal("no journal")
 		}
 		b := resp.Journal.Bytes()
 		if err := obs.CheckJournal(bytes.NewReader(b)); err != nil {
-			t.Fatalf("workers=%d: journal fails schema check: %v\n%s", workers, err, b)
+			t.Fatalf("journal fails schema check: %v\n%s", err, b)
 		}
 		return b
 	}
-	one, eight := run(1), run(8)
-	if !bytes.Equal(one, eight) {
-		t.Errorf("rotation journal diverged across CollectWorkers:\nW1:\n%s\nW8:\n%s", one, eight)
+	one, two := run(), run()
+	if !bytes.Equal(one, two) {
+		t.Errorf("rotation journal diverged across runs:\nfirst:\n%s\nsecond:\n%s", one, two)
 	}
 	for _, detail := range []string{`"detail":"rotation-begin"`, `"detail":"rotation-wave"`} {
 		if !bytes.Contains(one, []byte(detail)) {

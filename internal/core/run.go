@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/histogram"
 	"github.com/trustedcells/tcq/internal/netsim"
 	"github.com/trustedcells/tcq/internal/obs"
@@ -66,7 +67,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	}
 	rs := &runState{
 		post:    post,
-		rng:     rand.New(rand.NewSource(e.cfg.Seed ^ int64(hashString(post.ID)))),
+		rng:     rand.New(rand.NewSource(e.cfg.Seed ^ int64(detrand.FNV1a(post.ID)))),
 		metrics: &Metrics{Protocol: req.Kind},
 		faults:  req.Faults,
 		clock:   obs.NewSimClock(obs.SimOrigin()),
@@ -532,16 +533,6 @@ func groupCountHint(stmt *sqlparse.SelectStmt) int {
 		return 1
 	}
 	return 16
-}
-
-// hashString is a small FNV-1a for seeding per-entity RNGs.
-func hashString(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // RefreshDiscovery drops every cached A_G distribution so the next query

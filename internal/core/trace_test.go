@@ -11,20 +11,20 @@ import (
 	"github.com/trustedcells/tcq/internal/ssi"
 )
 
-// churnedTrace runs one churned scenario at the given worker count and
-// returns the full response (result, metrics, trace).
-func churnedTrace(t *testing.T, sc int, workers int) *Response {
+// churnedTrace runs one churned scenario on a fresh fixture and returns
+// the full response (result, metrics, trace).
+func churnedTrace(t *testing.T, sc int) *Response {
 	t.Helper()
-	f := newFixture(t, 40, func(c *Config) { c.CollectWorkers = workers })
+	f := newFixture(t, 40, nil)
 	resp, err := f.eng.Execute(context.Background(), Request{
 		Querier: f.q, SQL: churnScenarios[sc].sql, Kind: churnScenarios[sc].kind,
 		Params: churnScenarios[sc].params, Faults: churnPlan(),
 	})
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatal(err)
 	}
 	if resp.Trace == nil {
-		t.Fatalf("workers=%d: Execute returned no trace", workers)
+		t.Fatal("Execute returned no trace")
 	}
 	return resp
 }
@@ -40,18 +40,18 @@ func traceJSONL(t *testing.T, qt *obs.QueryTrace) []byte {
 
 // TestGoldenTraceDeterminism is the tracing counterpart of
 // TestChurnDeterminism: for every protocol under the reference churn plan,
-// the serialized trace must be byte-identical at CollectWorkers 1 and 8 —
-// same spans, same events, same simulated timestamps, same order. The
+// the serialized trace must be byte-identical across two independent
+// runs — same spans, same events, same simulated timestamps, same order. The
 // trace must also be complete: every timed phase has a span and every
 // recovery-ledger entry has a matching trace event.
 func TestGoldenTraceDeterminism(t *testing.T) {
 	for i, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
-			seq := churnedTrace(t, i, 1)
-			par := churnedTrace(t, i, 8)
+			seq := churnedTrace(t, i)
+			par := churnedTrace(t, i)
 			seqJSON, parJSON := traceJSONL(t, seq.Trace), traceJSONL(t, par.Trace)
 			if !bytes.Equal(seqJSON, parJSON) {
-				t.Errorf("traces diverge across worker counts:\nworkers=1:\n%s\nworkers=8:\n%s",
+				t.Errorf("traces diverge across runs:\nfirst:\n%s\nsecond:\n%s",
 					seqJSON, parJSON)
 			}
 
@@ -144,7 +144,7 @@ func TestSSIVisibilityAudit(t *testing.T) {
 	}
 	for i, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
-			resp := churnedTrace(t, i, 4)
+			resp := churnedTrace(t, i)
 			resp.Trace.Walk(func(s *obs.Span) {
 				if s.Party == obs.PartySSI && len(s.Attrs) > 0 {
 					t.Errorf("SSI span %q carries attributes %v; must be ciphertext-only", s.Name, s.Attrs)
@@ -204,7 +204,7 @@ func TestRegistryExportAfterRuns(t *testing.T) {
 // the SSI ledger mirror events in the trace carry the same simulated
 // instants as the ledger entries themselves.
 func TestTraceMatchesLedgerTimestamps(t *testing.T) {
-	resp := churnedTrace(t, 1, 1) // S_Agg under the reference churn plan
+	resp := churnedTrace(t, 1) // S_Agg under the reference churn plan
 	byKind := map[string][]ssi.LedgerEntry{}
 	for _, le := range resp.Metrics.Ledger {
 		byKind[le.Kind] = append(byKind[le.Kind], le)

@@ -11,14 +11,15 @@
 //
 // Determinism is the design constraint everything here serves: a Behavior
 // depends only on (Plan.Seed, device ID, query ID), never on connection
-// order, goroutine scheduling or wall time. The engine's parallel
-// collection pipeline can therefore evaluate behaviors speculatively and
-// still commit bit-identical runs for any worker count.
+// order, goroutine scheduling or wall time, so a faulted run is as
+// bit-reproducible as a clean one.
 package faultplan
 
 import (
 	"math/rand"
 	"time"
+
+	"github.com/trustedcells/tcq/internal/detrand"
 )
 
 // Defaults of the SSI-side recovery policy (simulated time).
@@ -158,9 +159,8 @@ func (s *SSIScript) Scripts(b SSIMisbehavior) bool {
 // RotationScript schedules a live key rotation at a deterministic point
 // inside one query's collection phase. The trigger counts committed
 // connections — never wall time or goroutine scheduling — so the rotation
-// fires at the same logical instant for every CollectWorkers setting and
-// the run stays bit-identical across worker counts. The zero value of
-// each knob disables it.
+// fires at the same logical instant on every run and the run stays
+// bit-identical. The zero value of each knob disables it.
 type RotationScript struct {
 	// AfterDeposits fires Engine.BeginRotation once this many deposit
 	// envelopes have been committed through the SSI for the query. 0
@@ -210,17 +210,6 @@ type Behavior struct {
 	CrashInPhase bool
 }
 
-// fnv is FNV-1a, the same string hash the engine seeds per-entity RNGs
-// with; faultplan keeps its own copy so the package stays leaf-level.
-func fnv(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // For returns the scripted behavior of device deviceID on query queryID.
 // It is pure: the outcome depends only on (Seed, deviceID, queryID), so
 // callers may evaluate it in any order, from any goroutine, any number of
@@ -230,7 +219,7 @@ func (p *Plan) For(deviceID, queryID string) Behavior {
 	if p == nil {
 		return b
 	}
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(fnv(deviceID)) ^ int64(fnv(queryID))<<17 ^ 0xfa17))
+	rng := rand.New(rand.NewSource(p.Seed ^ int64(detrand.FNV1a(deviceID)) ^ int64(detrand.FNV1a(queryID))<<17 ^ 0xfa17))
 	// Fixed draw count and order: adding a scenario must not reshuffle the
 	// draws of the others.
 	offline := rng.Float64() < p.OfflineFraction

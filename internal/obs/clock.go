@@ -1,12 +1,12 @@
 // Package obs is the engine's observability layer: a deterministic
 // simulated clock, an allocation-light span/event tracer whose output is
-// bit-identical across worker counts, a small metrics registry with a
-// Prometheus-text exporter, and a bundled exposition-format checker.
+// bit-identical across runs and GOMAXPROCS settings, a small metrics
+// registry with a Prometheus-text exporter, and a bundled
+// exposition-format checker.
 //
 // Everything in this package is driven by *simulated* time (netsim
 // calibration), never the wall clock, so two runs with the same seeds
-// produce byte-identical traces regardless of CollectWorkers or host
-// load. The single sanctioned wall-clock accessor for internal packages
+// produce byte-identical traces regardless of GOMAXPROCS or host load. The single sanctioned wall-clock accessor for internal packages
 // is Wall below; scripts/obslint.go enforces that no other internal code
 // calls time.Now directly.
 package obs

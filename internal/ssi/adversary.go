@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/faultplan"
 	"github.com/trustedcells/tcq/internal/protocol"
 )
@@ -22,9 +23,8 @@ import (
 // Adversary is a Service that misbehaves on schedule. One Adversary
 // serves one query: the engine wraps the shared honest SSI per run, so
 // strike state never leaks across queries. Deterministic for a fixed
-// (seed, query ID) at any worker count: deposits are struck by commit
-// order and partition builds by build order, both of which the engine
-// already keeps worker-count-independent.
+// (seed, query ID): deposits are struck by commit order and partition
+// builds by build order, both of which the engine keeps deterministic.
 type Adversary struct {
 	inner  Service
 	script *faultplan.SSIScript
@@ -46,7 +46,7 @@ var _ Service = (*Adversary)(nil)
 // Service — the plain honest SSI or a sharded one; the adversary only ever
 // touches its own query's state through the interface.
 func NewAdversary(inner Service, script *faultplan.SSIScript, seed int64, queryID string) *Adversary {
-	rng := rand.New(rand.NewSource(seed ^ int64(fnvHash(queryID))<<21 ^ 0xadc0de))
+	rng := rand.New(rand.NewSource(seed ^ int64(detrand.FNV1a(queryID))<<21 ^ 0xadc0de))
 	armed := make(map[faultplan.SSIMisbehavior]bool)
 	for _, b := range script.Behaviors {
 		armed[b] = true
@@ -55,17 +55,6 @@ func NewAdversary(inner Service, script *faultplan.SSIScript, seed int64, queryI
 	// behavior is scripted, so adding an attack never reshuffles another's.
 	forgeAt := 1 + rng.Intn(3)
 	return &Adversary{inner: inner, script: script, rng: rng, armed: armed, forgeAt: forgeAt}
-}
-
-// fnvHash is FNV-1a over a string, matching the engine's per-entity
-// seeding convention.
-func fnvHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Strikes returns the attacks fired so far, in order.
@@ -109,26 +98,6 @@ func (a *Adversary) DepositEnvelope(id string, dep *protocol.Deposit, now time.T
 		accepted = claim
 	}
 	return accepted, done, err
-}
-
-// DepositEnvelopeBatch is DepositEnvelope over a committed wave; strike
-// indices advance in batch order, matching the sequential pipeline.
-func (a *Adversary) DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) ([]DepositOutcome, int, bool, error) {
-	fwd := make([]*protocol.Deposit, len(deps))
-	claims := make([]int, len(deps))
-	for i, dep := range deps {
-		fwd[i], claims[i] = a.maybeForge(dep)
-	}
-	out, doneAt, done, err := a.inner.DepositEnvelopeBatch(id, fwd, now)
-	if err != nil {
-		return out, doneAt, done, err
-	}
-	for i := range out {
-		if claims[i] >= 0 && out[i].Err == nil {
-			out[i].Accepted = claims[i]
-		}
-	}
-	return out, doneAt, done, nil
 }
 
 // maybeForge substitutes an empty twin for a struck envelope and returns

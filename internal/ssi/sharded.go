@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/trustedcells/tcq/internal/detrand"
 	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 )
@@ -75,12 +76,7 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 // shard routes one query ID to its stripe: FNV-1a, the repo's stable
 // per-entity hashing convention.
 func (s *Sharded) shard(id string) *SSI {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return s.shards[h%uint32(len(s.shards))]
+	return s.shards[detrand.FNV1a(id)%uint32(len(s.shards))]
 }
 
 func (s *Sharded) PostQuery(post *protocol.QueryPost, now time.Time) error {

@@ -137,7 +137,6 @@ func (ts *tupleStore) all() []protocol.WireTuple { return ts.slice(0, ts.n) }
 type Store interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)
-	DepositEnvelopeBatch(id string, deps []*protocol.Deposit, now time.Time) (out []DepositOutcome, doneAt int, done bool, err error)
 	CollectionDone(id string, now time.Time) bool
 	CollectedTuples(id string) []protocol.WireTuple
 	CollectedCount(id string) int
@@ -217,7 +216,7 @@ type LedgerEntry struct {
 	At time.Time
 }
 
-// DepositOutcome is one envelope's fate inside a committed wave batch.
+// DepositOutcome is one envelope's fate inside a DepositEnvelopeBatch call.
 type DepositOutcome struct {
 	Accepted int
 	Err      error // nil, ErrStaleDeposit or ErrCorruptDeposit
@@ -386,9 +385,8 @@ func (s *SSI) graceAdmits(depEpoch, postEpoch int) bool {
 }
 
 // DepositBatch deposits several devices' collection results in device
-// order under one lock acquisition — the parallel collection pipeline
-// commits a whole wave of simultaneous connections (ConnectionInterval 0)
-// in one call. Semantics are identical to calling Deposit once per batch
+// order under one lock acquisition, for a caller committing a burst of
+// simultaneous connections (ConnectionInterval 0) in one call. Semantics are identical to calling Deposit once per batch
 // in order: accepted[i] is the tuple count accepted from batches[i], and
 // doneAt is the index of the batch whose deposit completed the collection
 // (-1 when the collection is still open, or was already complete before
@@ -410,8 +408,9 @@ func (s *SSI) DepositBatch(id string, batches [][]protocol.WireTuple, now time.T
 	return accepted, doneAt, done, nil
 }
 
-// DepositEnvelopeBatch is DepositEnvelope over a whole committed wave,
-// under one lock acquisition. Envelopes are admitted in order; a rejected
+// DepositEnvelopeBatch is DepositEnvelope over a burst of envelopes,
+// under one lock acquisition, for callers that batch (the engine commits
+// one envelope at a time). Envelopes are admitted in order; a rejected
 // envelope gets its typed error in out[i].Err and the walk continues (a
 // bad deposit cannot complete a collection), while the walk stops at the
 // envelope whose deposit reaches the SIZE condition, exactly as the

@@ -1,8 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's pre-merge gate: formatting, static analysis,
 # build, the full test suite, and the same suite under the race detector
-# (the engine runs collection waves and phase pools concurrently; a clean
-# -race run is part of the contract, not an optional extra).
+# (the engine runs phase pools, the streaming pipeline and concurrent
+# server queries in parallel; a clean -race run is part of the contract,
+# not an optional extra). The determinism gates run at GOMAXPROCS=1 and
+# GOMAXPROCS=4, so they exercise real parallelism whatever the host.
 #
 # Usage: scripts/check.sh [-short]
 #   -short  skip the race-detector pass (it is the slow half)
@@ -34,33 +36,39 @@ go test ./...
 echo "==> obslint (no direct time.Now() in internal/)"
 go run ./scripts/obslint.go
 
-echo "==> churn determinism gate"
-go vet ./... && go test -race -count=1 ./internal/core -run 'Churn|Determinism'
+for procs in 1 4; do
+    export GOMAXPROCS=$procs
 
-echo "==> trace determinism gate"
-go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedger'
+    echo "==> churn determinism gate (GOMAXPROCS=$procs)"
+    go vet ./...
+    go test -race -count=1 ./internal/core -run 'Churn|Determinism'
 
-echo "==> adversary determinism gate"
-go test -race -count=1 ./internal/core -run 'Adversary|Integrity' \
-    && go test -race -count=1 ./internal/ssi -run 'Adversary'
+    echo "==> trace determinism gate (GOMAXPROCS=$procs)"
+    go test -race -count=1 ./internal/core -run 'GoldenTrace|SSIVisibility|TraceLedger'
 
-echo "==> multi-tenant scheduler gate"
-go test -race -count=1 ./internal/core -run 'Server|ConcurrentQueryDeterminism'
+    echo "==> adversary determinism gate (GOMAXPROCS=$procs)"
+    go test -race -count=1 ./internal/core -run 'Adversary|Integrity'
+    go test -race -count=1 ./internal/ssi -run 'Adversary'
 
-echo "==> journal determinism and cost-model conformance gate"
-go test -race -count=1 ./internal/core -run 'Journal|Conformance'
+    echo "==> multi-tenant scheduler gate (GOMAXPROCS=$procs)"
+    go test -race -count=1 ./internal/core -run 'Server|ConcurrentQueryDeterminism'
 
-echo "==> key lifecycle gate (live rotation / revocation / trust bundles)"
-go test -race -count=1 ./internal/core ./internal/tdscrypto -run 'Rotation|Revocation|Bundle'
+    echo "==> journal determinism and cost-model conformance gate (GOMAXPROCS=$procs)"
+    go test -race -count=1 ./internal/core -run 'Journal|Conformance'
 
-# The streaming-pipeline gate: the determinism sweep (5 protocols x
-# CollectWorkers {1,8} x packed/eager x pipeline off/auto/full) under the
-# race detector — the speculative executor runs concurrently with
-# collection — plus the conformance-band check on pipelined runs
-# (TestPipelineConformanceBand pins tq_ratio to [0.25, 5]).
-echo "==> streaming pipeline gate (determinism + conformance band)"
-go test -race -count=1 ./internal/core -run 'Pipeline' \
-    && go test -race -count=1 ./internal/ssi -run 'Streamer|StreamBuild'
+    echo "==> key lifecycle gate (live rotation / revocation / trust bundles) (GOMAXPROCS=$procs)"
+    go test -race -count=1 ./internal/core ./internal/tdscrypto -run 'Rotation|Revocation|Bundle'
+
+    # The streaming-pipeline gate: the determinism sweep (5 protocols x
+    # packed/eager x pipeline off/auto/full) under the race detector — the
+    # speculative executor runs concurrently with collection — plus the
+    # conformance-band check on pipelined runs (TestPipelineConformanceBand
+    # pins tq_ratio to [0.25, 5]).
+    echo "==> streaming pipeline gate (determinism + conformance band) (GOMAXPROCS=$procs)"
+    go test -race -count=1 ./internal/core -run 'Pipeline'
+    go test -race -count=1 ./internal/ssi -run 'Streamer|StreamBuild'
+done
+unset GOMAXPROCS
 
 if [ "$short" -eq 0 ]; then
     echo "==> go test -race"
