@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/trustedcells/tcq/internal/obs"
 	"github.com/trustedcells/tcq/internal/protocol"
 	"github.com/trustedcells/tcq/internal/querier"
 )
@@ -103,6 +106,77 @@ func TestCollectionWithErrors(t *testing.T) {
 	}
 	if m.CollectErrors != 3 {
 		t.Errorf("CollectErrors = %d, want 3 (the revoked devices)", m.CollectErrors)
+	}
+
+	// One revoked device at each position of the walk. The walk order is
+	// a pure function of the engine seed and the pinned query ID, so a
+	// revocation-free run's deposit events give the order every revoked
+	// run follows. A device past the SIZE cap is never visited: it counts
+	// as not reached, not as a collect error.
+	const fleet, qid = 30, "walk-revoke"
+	edit := func(c *Config) { c.ConnectionInterval = 30 * time.Second }
+	execute := func(f *fixture, q *querier.Querier, sql string) *Response {
+		t.Helper()
+		resp, err := f.eng.Execute(context.Background(), Request{
+			Querier: q, SQL: sql, Kind: protocol.KindSAgg, QueryID: qid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkAccount(resp.Metrics); err != nil {
+			t.Error(err)
+		}
+		return resp
+	}
+	walk := func(sql string) []string {
+		t.Helper()
+		f := newFixture(t, fleet, edit)
+		var ids []string
+		execute(f, f.q, sql).Trace.Walk(func(s *obs.Span) {
+			for _, e := range s.Events {
+				if e.Name == "deposit" {
+					ids = append(ids, e.Device)
+				}
+			}
+		})
+		return ids
+	}
+	const fullSQL = `SELECT COUNT(*) FROM Power`
+	const cappedSQL = `SELECT COUNT(*) FROM Power SIZE 25`
+	full, capped := walk(fullSQL), walk(cappedSQL)
+	if len(full) != fleet {
+		t.Fatalf("clean walk deposited %d devices, want %d", len(full), fleet)
+	}
+	if len(capped) < 2 || len(capped) >= fleet {
+		t.Fatalf("SIZE 25 stopped the walk after %d devices; want a cap inside the fleet", len(capped))
+	}
+	if !reflect.DeepEqual(capped, full[:len(capped)]) {
+		t.Fatalf("capped walk %v is not a prefix of the clean walk %v", capped, full)
+	}
+	cases := []struct {
+		name                         string
+		sql                          string
+		revoke                       string
+		collectErrors, notReached, k int
+	}{
+		{"first", fullSQL, full[0], 1, 0, fleet - 1},
+		{"middle", fullSQL, full[fleet/2], 1, 0, fleet - 1},
+		{"last", fullSQL, full[fleet-1], 1, 0, fleet - 1},
+		{"after-size-cap", cappedSQL, full[len(capped)], 0, fleet - len(capped), len(capped)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, fleet, edit)
+			if err := f.eng.RevokeAndRotate(tc.revoke); err != nil {
+				t.Fatal(err)
+			}
+			m := execute(f, newQuerierForEngine(t, f.eng, "edf"), tc.sql).Metrics
+			if m.CollectErrors != tc.collectErrors || m.NotReached != tc.notReached ||
+				m.DepositedDevices != tc.k {
+				t.Errorf("revoked %s: collect errors %d, not reached %d, deposited %d; want %d, %d, %d",
+					tc.revoke, m.CollectErrors, m.NotReached, m.DepositedDevices,
+					tc.collectErrors, tc.notReached, tc.k)
+			}
+		})
 	}
 }
 

@@ -256,7 +256,7 @@ func (e *Engine) buildVerified(rs *runState, phase string, input []protocol.Wire
 // under the previous digest, Merkle-style, so the final digest pins the
 // exact content and grouping of every phase. The fold streams —
 // StartFold/Add/Sum over the same children is byte-identical to the
-// one-shot Fold — so a pipelined build folds partition by partition
+// one-shot Fold — so a build of any size folds partition by partition
 // without ever materializing the children slice.
 func (st *integrityState) fold(c *tdscrypto.Committer, phase string, parts [][]protocol.WireTuple) {
 	fold := c.StartFold("phase/" + phase)

@@ -82,10 +82,9 @@ func TestIntegrityHonestPathNoFalsePositives(t *testing.T) {
 }
 
 // TestAdversaryChaosSweep is the no-silent-wrong-answer theorem, checked by
-// sweep: every protocol × every scripted SSI misbehavior, with the
-// streaming pipeline off and full, either returns the bit-identical honest
-// result (detection + recovery) or fails with the typed misbehavior error
-// — never a quietly skewed answer.
+// sweep: every protocol × every scripted SSI misbehavior either returns
+// the bit-identical honest result (detection + recovery) or fails with the
+// typed misbehavior error — never a quietly skewed answer.
 func TestAdversaryChaosSweep(t *testing.T) {
 	for _, sc := range churnScenarios {
 		// The honest reference: same fault seed, no SSI script.
@@ -102,54 +101,23 @@ func TestAdversaryChaosSweep(t *testing.T) {
 		for _, b := range faultplan.SSIMisbehaviors() {
 			sc, b := sc, b
 			t.Run(fmt.Sprintf("%v/%s", sc.kind, b), func(t *testing.T) {
-				type outcome struct {
-					rows    []string
-					metrics Metrics
-					rep     IntegrityReport
-					err     error
+				f := newFixture(t, 20, nil)
+				resp, err := f.eng.Execute(context.Background(), Request{
+					Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
+					Faults: ssiScript(false, b),
+				})
+				if resp == nil {
+					t.Fatalf("no response at all (err=%v)", err)
 				}
-				runAt := func(pm PipelineMode) outcome {
-					f := newFixture(t, 20, nil)
-					resp, err := f.eng.Execute(context.Background(), Request{
-						Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-						Faults: ssiScript(false, b), Pipeline: pm,
-					})
-					if resp == nil {
-						t.Fatalf("pipeline=%v: no response at all (err=%v)", pm, err)
-					}
-					o := outcome{metrics: *resp.Metrics, err: err}
-					o.metrics.TLocal = 0
-					if resp.Integrity != nil {
-						o.rep = *resp.Integrity
-						o.rep.Digest = nil // keyed over nondeterministic ciphertext
-					}
-					if resp.Result != nil {
-						o.rows = sortedRows(resp.Result)
-					}
-					return o
+				var rep IntegrityReport
+				if resp.Integrity != nil {
+					rep = *resp.Integrity
 				}
-				seq := runAt(PipelineOff)
-
-				// The streaming pipeline is deliberately NOT gated on SSI
-				// misbehavior: adoption matches against the verified (and,
-				// after a quarantine, recovered) canonical build, so a
-				// pipelined adversarial run must reproduce the barrier
-				// outcome exactly — rows, metrics, report and error alike.
-				pip := runAt(PipelineFull)
-				if !reflect.DeepEqual(seq.rows, pip.rows) {
-					t.Errorf("pipelined rows diverge:\nbarrier:   %v\npipelined: %v", seq.rows, pip.rows)
+				var rows []string
+				if resp.Result != nil {
+					rows = sortedRows(resp.Result)
 				}
-				if !reflect.DeepEqual(seq.metrics, pip.metrics) {
-					t.Errorf("pipelined metrics diverge:\nbarrier:   %+v\npipelined: %+v",
-						seq.metrics, pip.metrics)
-				}
-				if !reflect.DeepEqual(seq.rep, pip.rep) {
-					t.Errorf("pipelined integrity reports diverge:\nbarrier:   %+v\npipelined: %+v",
-						seq.rep, pip.rep)
-				}
-				if (seq.err == nil) != (pip.err == nil) || fmt.Sprint(seq.err) != fmt.Sprint(pip.err) {
-					t.Errorf("pipelined errors diverge:\nbarrier:   %v\npipelined: %v", seq.err, pip.err)
-				}
+				ledger := resp.Metrics.Ledger
 
 				switch {
 				case b == faultplan.SSIForgeCoverage:
@@ -157,54 +125,54 @@ func TestAdversaryChaosSweep(t *testing.T) {
 					// only sound outcome is a typed abort at the collection
 					// check.
 					var mis *ErrSSIMisbehavior
-					if !errors.As(seq.err, &mis) {
-						t.Fatalf("forged coverage not detected: err=%v rows=%v", seq.err, seq.rows)
+					if !errors.As(err, &mis) {
+						t.Fatalf("forged coverage not detected: err=%v rows=%v", err, rows)
 					}
 					if mis.Kind != "covering-count" || mis.Phase != "collection" {
 						t.Errorf("detection = %+v, want covering-count in collection", mis)
 					}
-					if seq.rows != nil {
-						t.Errorf("aborted run still returned rows: %v", seq.rows)
+					if rows != nil {
+						t.Errorf("aborted run still returned rows: %v", rows)
 					}
-					if seq.rep.Violations == 0 {
-						t.Errorf("abort reported no violation: %+v", seq.rep)
+					if rep.Violations == 0 {
+						t.Errorf("abort reported no violation: %+v", rep)
 					}
-					assertLedgerHas(t, seq.metrics.Ledger, "integrity-violation", "collection")
-					assertLedgerHas(t, seq.metrics.Ledger, "query-abort", "ssi-misbehavior")
+					assertLedgerHas(t, ledger, "integrity-violation", "collection")
+					assertLedgerHas(t, ledger, "query-abort", "ssi-misbehavior")
 
 				case b == faultplan.SSIReplayStalePartition && sc.kind == protocol.KindBasic:
 					// Basic has a single partition build, so there is no
 					// stale material to replay: the attack never fires and
 					// the run must be indistinguishable from honest.
-					if seq.err != nil {
-						t.Fatalf("no-op replay still failed: %v", seq.err)
+					if err != nil {
+						t.Fatalf("no-op replay still failed: %v", err)
 					}
-					if !reflect.DeepEqual(seq.rows, honest) {
-						t.Errorf("rows diverge from honest:\ngot:  %v\nwant: %v", seq.rows, honest)
+					if !reflect.DeepEqual(rows, honest) {
+						t.Errorf("rows diverge from honest:\ngot:  %v\nwant: %v", rows, honest)
 					}
-					if seq.rep.Violations != 0 {
-						t.Errorf("no-op replay was flagged: %+v", seq.rep)
+					if rep.Violations != 0 {
+						t.Errorf("no-op replay was flagged: %+v", rep)
 					}
 
 				default:
 					// Tampered partition builds: detected, quarantined, and
 					// recovered from the SSI's stashed honest build — the
 					// result must equal the honest run bit for bit.
-					if seq.err != nil {
-						t.Fatalf("recoverable attack aborted the run: %v", seq.err)
+					if err != nil {
+						t.Fatalf("recoverable attack aborted the run: %v", err)
 					}
-					if !reflect.DeepEqual(seq.rows, honest) {
-						t.Errorf("recovered rows diverge from honest:\ngot:  %v\nwant: %v", seq.rows, honest)
+					if !reflect.DeepEqual(rows, honest) {
+						t.Errorf("recovered rows diverge from honest:\ngot:  %v\nwant: %v", rows, honest)
 					}
-					if seq.rep.Violations == 0 || seq.rep.Quarantines == 0 {
-						t.Errorf("attack went undetected: %+v", seq.rep)
+					if rep.Violations == 0 || rep.Quarantines == 0 {
+						t.Errorf("attack went undetected: %+v", rep)
 					}
-					if seq.rep.Recovered != seq.rep.Quarantines {
+					if rep.Recovered != rep.Quarantines {
 						t.Errorf("quarantined %d builds but recovered %d",
-							seq.rep.Quarantines, seq.rep.Recovered)
+							rep.Quarantines, rep.Recovered)
 					}
-					assertLedgerHas(t, seq.metrics.Ledger, "integrity-quarantine", "")
-					assertLedgerHas(t, seq.metrics.Ledger, "integrity-recovered", "")
+					assertLedgerHas(t, ledger, "integrity-quarantine", "")
+					assertLedgerHas(t, ledger, "integrity-recovered", "")
 				}
 			})
 		}

@@ -38,14 +38,16 @@ func packedPair(t *testing.T, fleet int, cfgEdit func(*Config), req func(f *fixt
 }
 
 // TestPackedFleetEquivalence: every protocol, under the reference churn
-// plan, must produce identical rows and metrics from both fleet shapes.
+// plan, must produce identical rows, metrics, journal and trace from both
+// fleet shapes. The pinned QueryID makes the journal and trace bytes
+// comparable across the two engines.
 func TestPackedFleetEquivalence(t *testing.T) {
 	for _, sc := range churnScenarios {
 		t.Run(sc.kind.String(), func(t *testing.T) {
 			eager, packed := packedPair(t, 40, nil, func(f *fixture) Request {
 				return Request{
 					Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-					Faults: churnPlan(),
+					QueryID: "packed-eq", Faults: churnPlan(),
 				}
 			})
 			if !reflect.DeepEqual(sortedRows(eager.Result), sortedRows(packed.Result)) {
@@ -53,6 +55,13 @@ func TestPackedFleetEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(eager.Metrics, packed.Metrics) {
 				t.Errorf("metrics diverge:\neager:  %+v\npacked: %+v", eager.Metrics, packed.Metrics)
+			}
+			e, p := outcomeOf(t, eager), outcomeOf(t, packed)
+			if e.journal != p.journal {
+				t.Errorf("journals diverge:\neager:\n%s\npacked:\n%s", e.journal, p.journal)
+			}
+			if e.trace != p.trace {
+				t.Errorf("traces diverge:\neager:\n%s\npacked:\n%s", e.trace, p.trace)
 			}
 		})
 	}
@@ -82,10 +91,10 @@ func TestPackedCompromisedEquivalence(t *testing.T) {
 }
 
 // TestPackedDeterminismAcrossWorkers: the packed fleet keeps the
-// worker-count independence contract. The aggregation phase runs one
-// goroutine per assignment and the streaming pipeline sizes its pool by
-// GOMAXPROCS, so rows and metrics must not move between one OS thread
-// and four.
+// worker-count independence contract. The aggregation phase runs its
+// assignments concurrently, so their completion order varies with
+// GOMAXPROCS; rows and metrics must not move between one OS thread and
+// four.
 func TestPackedDeterminismAcrossWorkers(t *testing.T) {
 	runAt := func(procs int) (rows []string, m Metrics) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -26,7 +26,7 @@ import (
 )
 
 // The rotation chaos sweep: rotate (and revoke) mid-query, across every
-// protocol, both collection pipelines and both fleet representations, and
+// protocol and both fleet representations, and
 // require the answer to be bit-identical to a rotation-free run — or a
 // typed abort, never a silently skewed result.
 
@@ -84,9 +84,8 @@ func ledgerCount(m *Metrics, kind string) int {
 // TestRotationMidQueryDeterminism is the heart of the sweep: a rotation
 // scripted to begin after the 8th deposit and roll out in three waves,
 // under every protocol and both fleet representations. The rows must
-// match a rotation-free run bit for bit, the run must verify with zero
-// integrity violations, and metrics, ledger and rows must be identical
-// with the streaming pipeline off and full.
+// match a rotation-free run bit for bit, and the run must verify with
+// zero integrity violations.
 func TestRotationMidQueryDeterminism(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		name := "eager"
@@ -101,55 +100,36 @@ func TestRotationMidQueryDeterminism(t *testing.T) {
 						metrics Metrics
 						integ   *IntegrityReport
 					}
-					runAt := func(rot *faultplan.RotationScript, pm PipelineMode) outcome {
+					runAt := func(rot *faultplan.RotationScript) outcome {
 						f := newFixture(t, 40, func(c *Config) { c.PackedFleet = packed })
 						resp, err := f.eng.Execute(context.Background(), Request{
 							Querier: f.q, SQL: sc.sql, Kind: sc.kind, Params: sc.params,
-							Faults:   &faultplan.Plan{Seed: 21, Rotation: rot},
-							Pipeline: pm,
+							Faults: &faultplan.Plan{Seed: 21, Rotation: rot},
 						})
 						if err != nil {
-							t.Fatalf("rot=%v pipeline=%v: %v", rot != nil, pm, err)
-						}
-						if rot != nil && pm == PipelineFull {
-							// A scripted rotation puts the run outside the
-							// speculated regime: the pipeline must refuse to arm.
-							if p := resp.Pipeline; p == nil || p.Active {
-								t.Fatalf("pipeline armed under a rotation script: %+v", p)
-							}
+							t.Fatalf("rot=%v: %v", rot != nil, err)
 						}
 						m := *resp.Metrics
 						m.TLocal = 0 // mean of identical sums; avoid float divergence noise
 						return outcome{rows: sortedRows(resp.Result), metrics: m, integ: resp.Integrity}
 					}
-					script := func() *faultplan.RotationScript {
-						return &faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5}
-					}
-					clean := runAt(nil, PipelineOff)
-					seq := runAt(script(), PipelineOff)
-					pip := runAt(script(), PipelineFull)
+					clean := runAt(nil)
+					rotated := runAt(&faultplan.RotationScript{AfterDeposits: 8, Waves: 3, WaveEvery: 5})
 
-					if !reflect.DeepEqual(seq.rows, clean.rows) {
+					if !reflect.DeepEqual(rotated.rows, clean.rows) {
 						t.Errorf("rotation changed the answer:\nclean:    %v\nrotated:  %v",
-							clean.rows, seq.rows)
+							clean.rows, rotated.rows)
 					}
-					if !reflect.DeepEqual(seq.rows, pip.rows) ||
-						!reflect.DeepEqual(seq.metrics, pip.metrics) {
-						t.Errorf("pipelined rotated run diverges:\nbarrier: %v %+v\npipelined: %v %+v",
-							seq.rows, seq.metrics, pip.rows, pip.metrics)
+					if rotated.integ == nil || !rotated.integ.Verified {
+						t.Fatal("rotated run skipped verification")
 					}
-					for _, o := range []outcome{seq, pip} {
-						if o.integ == nil || !o.integ.Verified {
-							t.Fatal("rotated run skipped verification")
-						}
-						if o.integ.Violations != 0 {
-							t.Errorf("rotation produced %d integrity violations", o.integ.Violations)
-						}
+					if rotated.integ.Violations != 0 {
+						t.Errorf("rotation produced %d integrity violations", rotated.integ.Violations)
 					}
-					if n := ledgerCount(&seq.metrics, "rotation-begin"); n != 1 {
+					if n := ledgerCount(&rotated.metrics, "rotation-begin"); n != 1 {
 						t.Errorf("rotation-begin ledger entries = %d, want 1", n)
 					}
-					if n := ledgerCount(&seq.metrics, "rotation-wave"); n != 3 {
+					if n := ledgerCount(&rotated.metrics, "rotation-wave"); n != 3 {
 						t.Errorf("rotation-wave ledger entries = %d, want all 3 waves", n)
 					}
 				})

@@ -114,13 +114,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 	defer jr.Discard(post.ID) // no-op when the journal was taken
 	e.obs.queries.With(req.Kind.String()).Inc()
 
-	// Arm the streaming pipeline before collection starts (the deposit
-	// funnel feeds it); the deferred abort registers after dropPlans and
-	// Drop, so it runs first and no speculative worker outlives the
-	// query's SSI state.
-	e.armPipeline(rs, req, groupCountHint(stmt))
-	defer rs.pipe.abort()
-
 	e.beginPhaseScope(rs, "collect", obs.PartyEngine, obs.CipherFacts{})
 	if err := e.collectionPhase(ctx, rs, cfgTpl); err != nil {
 		return e.abortRun(rs, err)
@@ -181,10 +174,6 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 
 	snapshot()
 	metrics.finish()
-	// Settle the speculation account before reporting: a run whose
-	// streamed step never ran (e.g. S_Agg over ≤1 tuple) still dispatched
-	// windows, which abort files as wasted; after a settle this no-ops.
-	rs.pipe.abort()
 	conf := e.conformance(rs, req)
 	if conf != nil {
 		// Deterministic model check on the root span: predicted T_Q and
@@ -198,8 +187,7 @@ func (e *Engine) run(ctx context.Context, req Request) (*Response, error) {
 		At: rs.clock.Now(), Facts: obs.CipherFacts{Count: len(res.Rows)},
 	})
 	return &Response{Result: res, Metrics: metrics, Trace: tr.Take(post.ID),
-		Integrity: rs.integrityReport(), Journal: jr.Take(post.ID), Conformance: conf,
-		Pipeline: rs.pipelineReport()}, nil
+		Integrity: rs.integrityReport(), Journal: jr.Take(post.ID), Conformance: conf}, nil
 }
 
 // collectInputs assembles the per-protocol collection-phase inputs: the
@@ -258,6 +246,47 @@ func (e *Engine) perPartitionTuples(params protocol.Params, sample []protocol.Wi
 	return n
 }
 
+// streamTuplesPerPartition sizes the first step's partitions. Unlike
+// perPartitionTuples it ignores the measured average tuple size and uses
+// the calibration's nominal one, so a run's partition size is a pure
+// function of the calibration and the protocol parameters: the canonical
+// first-step builds, and with them every golden, do not move with the
+// sizes of the tuples a particular fleet happens to deposit.
+func (e *Engine) streamTuplesPerPartition(params protocol.Params) int {
+	if params.PartitionTuples > 0 {
+		return params.PartitionTuples
+	}
+	avg := e.cal.TupleSize
+	if avg < 1 {
+		avg = 64
+	}
+	n := e.cal.PartitionSize / avg
+	if n < 2 {
+		n = 2
+	}
+	return n
+}
+
+// firstStepPer is the partition size of the protocol's first step after
+// collection: the calibrated streaming unit, additionally capped at ~α·G
+// for S_Agg (Section 4.2's first-step partitions).
+func (e *Engine) firstStepPer(kind protocol.Kind, params protocol.Params, g int) int {
+	per := e.streamTuplesPerPartition(params)
+	if kind == protocol.KindSAgg {
+		alpha := params.Alpha
+		if alpha < 2 {
+			alpha = 3.6
+		}
+		if ap := int(alpha * float64(g)); ap < per {
+			per = ap
+		}
+		if per < 2 {
+			per = 2
+		}
+	}
+	return per
+}
+
 // aggregateAndFilter runs the protocol-specific aggregation phase followed
 // by the filtering phase and returns the k1-encrypted final tuples.
 func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt) ([]protocol.WireTuple, error) {
@@ -269,8 +298,7 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		// Filtering phase only: deposit-order windows of the covering
 		// result, each filtered by a TDS (steps 9-12). Deposit order is
 		// itself a random permutation of the fleet walk, so the windows
-		// are as random as the former explicit shuffle — and, unlike it,
-		// streamable while collection is still running.
+		// are as random as an explicit shuffle.
 		per := e.firstStepPer(post.Kind, post.Params, 0)
 		parts, err := e.buildVerified(rs, "filter-sfw", collected, func() [][]protocol.WireTuple {
 			return rs.ssi.StreamBuild(post.ID, per)
@@ -278,12 +306,10 @@ func (e *Engine) aggregateAndFilter(ctx context.Context, rs *runState, stmt *sql
 		if err != nil {
 			return nil, err
 		}
-		e.settlePipeline(rs, parts)
 		e.startPhase(rs, "filter-sfw", parts)
 		units, ps, err := e.runPhase(ctx, rs, "filter-sfw", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 			return w.FilterSFW(post, p)
 		})
-		rs.adopt = nil
 		if err != nil {
 			return nil, err
 		}
@@ -316,10 +342,10 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 	units := collected
 	// First step: partitions of ~α*G tuples; later steps: α partials each.
 	// The first step partitions the covering result as it sits in the
-	// SSI's chunked store — deposit-order windows, a random permutation
-	// by construction of the fleet walk, and the streamed build the
-	// pipeline speculates on. Later steps partition relayed partials,
-	// which never sit in the store, so they keep the explicit shuffle.
+	// SSI's chunked store: deposit-order windows, a random permutation by
+	// construction of the fleet walk. Later steps partition relayed
+	// partials, which never sit in the store, so they keep the explicit
+	// shuffle.
 	per := e.firstStepPer(protocol.KindSAgg, post.Params, g)
 	first := true
 	for len(units) > 1 {
@@ -329,6 +355,7 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 			return rs.ssi.PartitionRandom(post.ID, input, size, rs.rng)
 		}
 		if first {
+			first = false
 			build = func() [][]protocol.WireTuple {
 				return rs.ssi.StreamBuild(post.ID, size)
 			}
@@ -337,15 +364,10 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 		if err != nil {
 			return nil, err
 		}
-		if first {
-			e.settlePipeline(rs, parts)
-			first = false
-		}
 		sp := e.startPhase(rs, name, parts)
 		stepUnits, ps, err := e.runPhase(ctx, rs, name, parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 			return w.Aggregate(post, p, tds.EmitWhole)
 		})
-		rs.adopt = nil
 		if err != nil {
 			return nil, err
 		}
@@ -384,8 +406,8 @@ func (e *Engine) runSAgg(ctx context.Context, rs *runState, stmt *sqlparse.Selec
 func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.SelectStmt,
 	collected []protocol.WireTuple) ([]protocol.WireTuple, error) {
 	post := rs.post
-	// Sized nominally (not from the measured average) so the pipeline can
-	// form identical per-tag chunks while collection is still running.
+	// Sized from the calibration, not the measured average tuple size,
+	// so the canonical per-tag build is fixed by the protocol parameters.
 	per := e.firstStepPer(post.Kind, post.Params, 0)
 
 	// First aggregation step: partitions hold tuples of one tag; large
@@ -396,12 +418,10 @@ func (e *Engine) runTagged(ctx context.Context, rs *runState, stmt *sqlparse.Sel
 	if err != nil {
 		return nil, err
 	}
-	e.settlePipeline(rs, parts)
 	e.startPhase(rs, "aggregate-1", parts)
 	step1, ps, err := e.runPhase(ctx, rs, "aggregate-1", parts, func(w *tds.TDS, p []protocol.WireTuple) ([]protocol.WireTuple, error) {
 		return w.Aggregate(post, p, tds.EmitPerGroup)
 	})
-	rs.adopt = nil
 	if err != nil {
 		return nil, err
 	}

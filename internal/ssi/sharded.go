@@ -116,13 +116,17 @@ func (s *Sharded) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerP
 func (s *Sharded) Repartition(id string) [][]protocol.WireTuple {
 	return s.shard(id).Repartition(id)
 }
+func (s *Sharded) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
+	return s.shard(id).StreamBuild(id, perPartition)
+}
+
+// PartitionReady and TakePartition are not part of Service; they forward
+// for callers that hold a *Sharded directly.
 func (s *Sharded) PartitionReady(id string, perPartition int) int {
 	return s.shard(id).PartitionReady(id, perPartition)
 }
 func (s *Sharded) TakePartition(id string, k, perPartition int) []protocol.WireTuple {
 	return s.shard(id).TakePartition(id, k, perPartition)
 }
-func (s *Sharded) StreamBuild(id string, perPartition int) [][]protocol.WireTuple {
-	return s.shard(id).StreamBuild(id, perPartition)
-}
+
 func (s *Sharded) Drop(id string) { s.shard(id).Drop(id) }

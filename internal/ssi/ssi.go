@@ -56,13 +56,6 @@ type EpochPolicy struct {
 	Revoked []string
 }
 
-// EpochPolicyHolder is the historical name of the Epochs facet, kept as
-// an alias for callers that type-asserted it before Epochs became part of
-// Service proper.
-//
-// Deprecated: use Epochs.
-type EpochPolicyHolder = Epochs
-
 // QueryState is everything the SSI holds for one active query.
 type QueryState struct {
 	Post        *protocol.QueryPost
@@ -130,11 +123,21 @@ func (ts *tupleStore) slice(start, end int) []protocol.WireTuple {
 
 func (ts *tupleStore) all() []protocol.WireTuple { return ts.slice(0, ts.n) }
 
-// Store is the querybox-and-ledger facet of the infrastructure: posting
-// queries, accepting deposits into the chunked collection store, reading
-// the store back, and keeping the recovery ledger and the curious
-// observation record.
-type Store interface {
+// Service is the infrastructure interface the engine's run path drives:
+// everything the protocols need from the supporting servers. It posts
+// queries and accepts deposits into the chunked collection store, reads
+// the store back, keeps the recovery ledger and the curious observation
+// record, takes the rotation coordinator's admit policy (current epoch,
+// grace window, revocation list), and builds the partitions of the
+// aggregation and filtering phases. StreamBuild is the deposit-order build
+// of Basic's and S_Agg's first step after collection: deposit order is
+// itself a uniform random permutation of the fleet, so a deposit-order
+// window is exactly the "random partition" of step 9. Every build is
+// stashed for Repartition. *SSI is the honest-but-curious implementation;
+// Adversary wraps it with scripted misbehavior for the upgraded threat
+// model. Keeping the engine on this interface is what makes the integrity
+// layer meaningful: the verifier must not care which one it is talking to.
+type Service interface {
 	PostQuery(post *protocol.QueryPost, now time.Time) error
 	DepositEnvelope(id string, dep *protocol.Deposit, now time.Time) (accepted int, done bool, err error)
 	CollectionDone(id string, now time.Time) bool
@@ -147,46 +150,11 @@ type Store interface {
 	ObservationFor(id string) Observation
 	BytesStored(id string) int64
 	Drop(id string)
-}
-
-// Epochs is the rotation-policy facet: the engine's rotation coordinator
-// pushes the admit gate's view of the current epoch, the grace window and
-// the revocation list through it. It absorbs what used to be the bolt-on
-// EpochPolicyHolder type-assert.
-type Epochs interface {
 	SetEpochPolicy(EpochPolicy)
-}
-
-// Streamer is the partition-building facet, including the streaming
-// readiness protocol that lets the engine overlap collection with the
-// first reduction step: PartitionReady reports how many full
-// deposit-order windows the chunked store already holds, TakePartition
-// reads one such window back, and StreamBuild turns the whole store into
-// the canonical deposit-order build (stashed for Repartition like every
-// other build). Deposit order is itself a uniform random permutation of
-// the fleet, so a deposit-order window is exactly the "random partition"
-// of step 9 — which is what makes the streamed build protocol-equivalent
-// to RandomPartitions.
-type Streamer interface {
 	PartitionRandom(id string, tuples []protocol.WireTuple, perPartition int, rng *rand.Rand) [][]protocol.WireTuple
 	PartitionByTag(id string, tuples []protocol.WireTuple, maxPerPartition int) [][]protocol.WireTuple
 	Repartition(id string) [][]protocol.WireTuple
-	PartitionReady(id string, perPartition int) int
-	TakePartition(id string, k, perPartition int) []protocol.WireTuple
 	StreamBuild(id string, perPartition int) [][]protocol.WireTuple
-}
-
-// Service is the infrastructure interface the engine's run path drives:
-// everything the protocols need from the supporting servers, composed
-// from the Store, Epochs and Streamer facets. *SSI is the
-// honest-but-curious implementation; Adversary wraps it with scripted
-// misbehavior for the upgraded threat model. Keeping the engine on this
-// interface is what makes the integrity layer meaningful: the verifier
-// must not care which one it is talking to.
-type Service interface {
-	Store
-	Epochs
-	Streamer
 }
 
 var _ Service = (*SSI)(nil)
@@ -625,7 +593,8 @@ func (s *SSI) PartitionByTag(id string, tuples []protocol.WireTuple, maxPerParti
 // PartitionReady reports how many full deposit-order windows of
 // perPartition tuples the collection store holds so far. The store only
 // ever appends, so a window that is ready stays ready with identical
-// content — the property the streaming pipeline's speculation relies on.
+// content. It is not part of Service: the engine builds the first step
+// once, after collection, through StreamBuild.
 func (s *SSI) PartitionReady(id string, perPartition int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -638,8 +607,8 @@ func (s *SSI) PartitionReady(id string, perPartition int) int {
 
 // TakePartition reads back the k-th deposit-order window of perPartition
 // tuples (a fresh copy; partial trailing windows are returned as far as
-// the store goes). It is a pure read: handing a window to a speculating
-// TDS neither stashes a build nor commits the SSI to any partitioning.
+// the store goes). It is a pure read: it neither stashes a build nor
+// commits the SSI to any partitioning.
 func (s *SSI) TakePartition(id string, k, perPartition int) []protocol.WireTuple {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -9,12 +9,14 @@ import (
 	"github.com/trustedcells/tcq/internal/protocol"
 )
 
-// The Streamer facet backs the engine's streaming pipeline: PartitionReady
-// and TakePartition expose full deposit-order windows of the chunked store
-// while collection is still running, and StreamBuild is the matching
-// canonical first-step build. The contract under test: windows are pure
-// reads of committed prefixes, in deposit order, and StreamBuild stashes
-// its build for the quarantine Repartition path like every other builder.
+// StreamBuild is the canonical first-step build of Basic and S_Agg: the
+// chunked store cut into deposit-order windows. PartitionReady and
+// TakePartition read those windows back while collection is still
+// running; the engine no longer calls them, but they stay on *SSI and
+// *Sharded for callers that time the store from outside. The contract
+// under test: windows are pure reads of committed prefixes, in deposit
+// order, and StreamBuild stashes its build for the quarantine
+// Repartition path like every other builder.
 
 // streamTuples builds n distinct wire tuples.
 func streamTuples(n int) []protocol.WireTuple {
@@ -135,8 +137,7 @@ func TestShardedStreamer(t *testing.T) {
 
 // TestAdversaryStreamBuild: a scripted adversary tampers with StreamBuild
 // like any other partition build, while the inner stash stays honest — the
-// exact shape the engine's quarantine/Repartition recovery relies on. The
-// read-only PartitionReady/TakePartition surface delegates honestly.
+// exact shape the engine's quarantine/Repartition recovery relies on.
 func TestAdversaryStreamBuild(t *testing.T) {
 	s := New()
 	now := time.Unix(0, 0)
@@ -148,13 +149,6 @@ func TestAdversaryStreamBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAdversary(s, script(faultplan.SSIDropTuple), 21, "q-adv")
-
-	if got := a.TakePartition("q-adv", 0, 3); !reflect.DeepEqual(got, all[:3]) {
-		t.Fatalf("adversary tampered with the read-only window: %v", got)
-	}
-	if n := a.PartitionReady("q-adv", 3); n != 2 {
-		t.Fatalf("adversary PartitionReady = %d, want 2", n)
-	}
 
 	honest := multiset([][]protocol.WireTuple{all})
 	got := a.StreamBuild("q-adv", 3)

@@ -1,10 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's pre-merge gate: formatting, static analysis,
 # build, the full test suite, and the same suite under the race detector
-# (the engine runs phase pools, the streaming pipeline and concurrent
-# server queries in parallel; a clean -race run is part of the contract,
-# not an optional extra). The determinism gates run at GOMAXPROCS=1 and
-# GOMAXPROCS=4, so they exercise real parallelism whatever the host.
+# (the engine runs phase pools and concurrent server queries in
+# parallel; a clean -race run is part of the contract, not an optional
+# extra). The determinism gates run at GOMAXPROCS=1 and GOMAXPROCS=4, so
+# they exercise real parallelism whatever the host.
 #
 # Usage: scripts/check.sh [-short]
 #   -short  skip the race-detector pass (it is the slow half)
@@ -48,7 +48,7 @@ for procs in 1 4; do
 
     echo "==> adversary determinism gate (GOMAXPROCS=$procs)"
     go test -race -count=1 ./internal/core -run 'Adversary|Integrity'
-    go test -race -count=1 ./internal/ssi -run 'Adversary'
+    go test -race -count=1 ./internal/ssi -run 'Adversary|Streamer|StreamBuild'
 
     echo "==> multi-tenant scheduler gate (GOMAXPROCS=$procs)"
     go test -race -count=1 ./internal/core -run 'Server|ConcurrentQueryDeterminism'
@@ -58,15 +58,6 @@ for procs in 1 4; do
 
     echo "==> key lifecycle gate (live rotation / revocation / trust bundles) (GOMAXPROCS=$procs)"
     go test -race -count=1 ./internal/core ./internal/tdscrypto -run 'Rotation|Revocation|Bundle'
-
-    # The streaming-pipeline gate: the determinism sweep (5 protocols x
-    # packed/eager x pipeline off/auto/full) under the race detector — the
-    # speculative executor runs concurrently with collection — plus the
-    # conformance-band check on pipelined runs (TestPipelineConformanceBand
-    # pins tq_ratio to [0.25, 5]).
-    echo "==> streaming pipeline gate (determinism + conformance band) (GOMAXPROCS=$procs)"
-    go test -race -count=1 ./internal/core -run 'Pipeline'
-    go test -race -count=1 ./internal/ssi -run 'Streamer|StreamBuild'
 done
 unset GOMAXPROCS
 
